@@ -51,7 +51,7 @@ struct ThreadGuard {
   ~ThreadGuard() { util::set_parallelism(default_threads()); }
 };
 
-/// Pins a dispatch backend for one benchmark run (pool vs OpenMP vs serial
+/// Pins a dispatch backend for one benchmark run (pool vs serial
 /// comparisons).
 struct BackendGuard {
   explicit BackendGuard(util::ParallelBackend b) {
@@ -160,7 +160,7 @@ BENCHMARK(BM_Flatten)->Arg(1 << 12);
 void BM_Alter(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   auto el = graph::make_gnm(n, 4 * n, 3);
-  auto arcs = core::arcs_from_edges(el);
+  auto arcs = core::arcs_from_input(el);
   core::ParentForest f(n);
   for (graph::VertexId v = 0; v < n; ++v) f.set_parent(v, v / 2);
   for (auto _ : state) {
@@ -175,7 +175,7 @@ BENCHMARK(BM_Alter)->Arg(1 << 12);
 void BM_DedupArcs(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   auto el = graph::make_gnm(n, 4 * n, 5);
-  const auto half = core::arcs_from_edges(el);
+  const auto half = core::arcs_from_input(el);
   auto arcs = half;
   arcs.insert(arcs.end(), half.begin(), half.end());  // force duplicates
   for (auto _ : state) {
@@ -194,7 +194,7 @@ void BM_AlterThreaded(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   ThreadGuard guard(static_cast<int>(state.range(1)));
   auto el = graph::make_gnm(n, 4 * n, 3);
-  auto arcs = core::arcs_from_edges(el);
+  auto arcs = core::arcs_from_input(el);
   core::ParentForest f(n);
   for (graph::VertexId v = 0; v < n; ++v) f.set_parent(v, v / 2);
   for (auto _ : state) {
@@ -235,7 +235,7 @@ void BM_DedupArcsThreaded(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   ThreadGuard guard(static_cast<int>(state.range(1)));
   auto el = graph::make_gnm(n, 2 * n, 5);
-  const auto half = core::arcs_from_edges(el);
+  const auto half = core::arcs_from_input(el);
   auto arcs = half;
   arcs.insert(arcs.end(), half.begin(), half.end());  // force duplicates
   for (auto _ : state) {
@@ -261,7 +261,7 @@ void BM_CollectOngoingThreaded(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   ThreadGuard guard(static_cast<int>(state.range(1)));
   auto el = graph::make_gnm(n, 4 * n, 7);
-  auto arcs = core::arcs_from_edges(el);
+  auto arcs = core::arcs_from_input(el);
   core::ParentForest f(n);
   std::vector<std::uint64_t> scratch;
   for (auto _ : state) {
@@ -307,7 +307,7 @@ void BM_ExpandRunThreaded(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   ThreadGuard guard(static_cast<int>(state.range(1)));
   auto el = graph::make_gnm(n, 3 * n, 9);
-  auto arcs = core::arcs_from_edges(el);
+  auto arcs = core::arcs_from_input(el);
   core::drop_loops(arcs);
   std::vector<graph::VertexId> ongoing(n);
   for (graph::VertexId v = 0; v < n; ++v) ongoing[v] = v;
@@ -336,7 +336,7 @@ void BM_VoteThreaded(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   ThreadGuard guard(static_cast<int>(state.range(1)));
   auto el = graph::make_gnm(n, 3 * n, 15);
-  auto arcs = core::arcs_from_edges(el);
+  auto arcs = core::arcs_from_input(el);
   core::drop_loops(arcs);
   std::vector<graph::VertexId> ongoing(n);
   for (graph::VertexId v = 0; v < n; ++v) ongoing[v] = v;
@@ -368,7 +368,7 @@ void BM_MaxlinkRoundThreaded(benchmark::State& state) {
   const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
   ThreadGuard guard(static_cast<int>(state.range(1)));
   auto el = graph::make_gnm(n, 3 * n, 21);
-  auto arcs = core::arcs_from_edges(el);
+  auto arcs = core::arcs_from_input(el);
   std::vector<std::uint8_t> exists(n, 1);
   auto policy = core::ParamPolicy::practical(n, el.edges.size());
   for (auto _ : state) {
@@ -407,7 +407,7 @@ BENCHMARK(BM_PrefixSumThreaded)
     ->Args({1 << 20, 4})
     ->UseRealTime();
 
-// ---- Parallel-runtime microbenchmarks: per-dispatch latency of each
+// ---- Parallel-runtime microbenchmarks: per-dispatch latency of the pool
 // backend (the overhead every PRAM step of every round pays) and the
 // round-scratch arena. Args are {n, threads}.
 
@@ -416,8 +416,8 @@ void BM_DispatchLatency(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   BackendGuard backend(kBackend);
   ThreadGuard guard(static_cast<int>(state.range(1)));
-  // Near-empty body: the measurement is the fork/join (OpenMP) vs
-  // wake/park (pool) cost per parallel_for, amortized per dispatch.
+  // Near-empty body: the measurement is the pool's wake/park cost per
+  // parallel_for, amortized per dispatch.
   std::atomic<std::uint64_t> sink{0};
   for (auto _ : state) {
     util::parallel_for(0, n, [&](std::size_t i) {
@@ -432,13 +432,6 @@ BENCHMARK(BM_DispatchLatency<util::ParallelBackend::kPool>)
     ->Args({util::kSerialGrain, 8})
     ->Args({1 << 16, 8})
     ->UseRealTime();
-#ifdef LOGCC_HAVE_OPENMP
-BENCHMARK(BM_DispatchLatency<util::ParallelBackend::kOpenMP>)
-    ->Args({util::kSerialGrain, 4})
-    ->Args({util::kSerialGrain, 8})
-    ->Args({1 << 16, 8})
-    ->UseRealTime();
-#endif
 
 template <util::ParallelBackend kBackend>
 void BM_DispatchBlocks(benchmark::State& state) {
@@ -457,11 +450,6 @@ void BM_DispatchBlocks(benchmark::State& state) {
 BENCHMARK(BM_DispatchBlocks<util::ParallelBackend::kPool>)
     ->Args({64, 8})
     ->UseRealTime();
-#ifdef LOGCC_HAVE_OPENMP
-BENCHMARK(BM_DispatchBlocks<util::ParallelBackend::kOpenMP>)
-    ->Args({64, 8})
-    ->UseRealTime();
-#endif
 
 void BM_ArenaAllocReset(benchmark::State& state) {
   // One simulated round: the scratch-request mix of a mid-size phase

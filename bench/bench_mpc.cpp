@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "baselines/union_find.hpp"
 #include "bench_support.hpp"
-#include "core/wide_cc.hpp"
 #include "mpc/sharded.hpp"
 #include "util/cli.hpp"
 
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
     std::vector<graph::Edge64> wide(w.el.edges.size());
     for (std::size_t i = 0; i < wide.size(); ++i)
       wide[i] = {w.el.edges[i].u, w.el.edges[i].v};
-    const auto oracle = core::wide_union_find_cc(
+    const auto oracle = baselines::union_find_cc(
         graph::ArcsInput64::from_edges(w.el.n, wide));
 
     std::uint64_t base_rounds = 0, base_ledger = 0;

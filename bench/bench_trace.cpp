@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
 
   for (const W& w : ws) {
     core::RunStats stats;
-    auto arcs = core::arcs_from_edges(w.el);
+    auto arcs = core::arcs_from_input(w.el);
     std::vector<std::uint8_t> exists(w.el.n, 1);
     core::ParamPolicy policy = core::ParamPolicy::practical(
         w.el.n, std::max<std::uint64_t>(w.el.edges.size(), 1));

@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
       "(recorded in bench.json)");
   const std::string backend_arg = cli.get_string(
       "backend", "",
-      "parallel dispatch backend: pool|omp|serial (default: the process "
+      "parallel dispatch backend: pool|serial (default: the process "
       "default, LOGCC_BACKEND)");
   cli.finish();
 
@@ -113,8 +113,6 @@ int main(int argc, char** argv) {
   if (!backend_arg.empty()) {
     if (backend_arg == "pool") {
       util::set_parallel_backend(util::ParallelBackend::kPool);
-    } else if (backend_arg == "omp") {
-      util::set_parallel_backend(util::ParallelBackend::kOpenMP);
     } else if (backend_arg == "serial") {
       util::set_parallel_backend(util::ParallelBackend::kSerial);
     } else {

@@ -5,7 +5,7 @@
 //
 //   $ ./examples/cc_serve --generate=gnm2:20000 --batch-edges=500 \
 //                         --verify-every=8 [--algorithm=faster-cc] \
-//                         [--queries=256] [--forest] [--seed=1]
+//                         [--queries=256] [--seed=1]
 //
 // Crash-safe serving (docs/ARCHITECTURE.md "Durability & fault tolerance"):
 //
@@ -80,8 +80,6 @@ int main(int argc, char** argv) {
       "queries", 256, "point queries sampled against the snapshot per batch"));
   const std::uint64_t seed =
       static_cast<std::uint64_t>(cli.get_int("seed", 1, "random seed"));
-  const bool forest =
-      cli.get_flag("forest", "attach the parent forest to snapshots");
   const std::string durable_dir = cli.get_string(
       "durable-dir", "", "WAL + checkpoint directory (empty = not durable)");
   const std::string fsync_name = cli.get_string(
@@ -116,7 +114,6 @@ int main(int argc, char** argv) {
   opts.verify_every = verify_every;
   opts.rebuild_algorithm = algorithm_from_string(algorithm_name);
   opts.seed = seed;
-  opts.publish_forest = forest;
   opts.max_resident_bytes = max_resident_mb << 20;
   if (!wal_fsync_from_string(fsync_name, &opts.durability.wal.fsync)) {
     std::fprintf(stderr, "cc_serve: bad --fsync policy '%s'\n",

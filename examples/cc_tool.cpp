@@ -37,8 +37,9 @@
 #include <string>
 #include <unordered_set>
 
+#include "baselines/union_find.hpp"
 #include "core/connectivity.hpp"
-#include "core/wide_cc.hpp"
+#include "core/vanilla.hpp"
 #include "graph/binary_io.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_algos.hpp"
@@ -297,15 +298,17 @@ int main(int argc, char** argv) {
       return 2;
     }
     util::Timer timer;
-    core::WideCcResult wr;
+    core::CcResult64 wr;
     if (algorithm_name == "faster-cc") {
-      core::WideFasterOptions wopt;
-      wopt.seed = seed;
-      wr = core::wide_faster_cc(warcs, wopt);
+      core::FasterCcParams params;
+      params.seed = seed;
+      wr = core::faster_cc(warcs, params);
     } else if (algorithm_name == "vanilla") {
-      wr = core::wide_vanilla_cc(warcs, seed);
+      wr = core::vanilla_cc(warcs, seed);
     } else if (algorithm_name == "union-find") {
-      wr = core::wide_union_find_cc(warcs);
+      auto uf = baselines::union_find_cc(warcs);
+      wr.labels = std::move(uf.labels);
+      wr.stats.phases = uf.rounds;
     } else {
       std::fprintf(stderr,
                    "cc_tool: algorithm '%s' is not available on the wide "
@@ -315,7 +318,7 @@ int main(int argc, char** argv) {
     }
     const double seconds = timer.seconds();
     // Same published form as the narrow path's ComponentIndex.
-    core::wide_canonicalize_labels(wr.labels);
+    wr.labels = graph::canonical_labels(wr.labels);
     std::unordered_set<graph::VertexId64> roots(wr.labels.begin(),
                                                 wr.labels.end());
     const std::uint64_t components = roots.size();

@@ -100,8 +100,4 @@ BaselineResult awerbuch_shiloach(const graph::ArcsInput& in) {
   return out;
 }
 
-BaselineResult awerbuch_shiloach(const graph::EdgeList& el) {
-  return awerbuch_shiloach(graph::ArcsInput::from_edges(el));
-}
-
 }  // namespace logcc::baselines

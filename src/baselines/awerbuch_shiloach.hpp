@@ -6,9 +6,7 @@
 
 namespace logcc::baselines {
 
-// The ArcsInput overload is the real entry point (zero-copy for CSR-backed
-// datasets); the EdgeList overload is a forwarding shim.
+// Zero-copy for CSR-backed datasets; an EdgeList converts implicitly.
 BaselineResult awerbuch_shiloach(const graph::ArcsInput& in);
-BaselineResult awerbuch_shiloach(const graph::EdgeList& el);
 
 }  // namespace logcc::baselines

@@ -16,8 +16,4 @@ BaselineResult bfs_cc(const graph::ArcsInput& in) {
   return out;
 }
 
-BaselineResult bfs_cc(const graph::EdgeList& el) {
-  return bfs_cc(graph::ArcsInput::from_edges(el));
-}
-
 }  // namespace logcc::baselines

@@ -8,10 +8,8 @@
 
 namespace logcc::baselines {
 
-/// The ArcsInput overload runs BFS directly over CSR-backed inputs
-/// (zero-copy); edge-backed inputs build the CSR adjacency first, exactly
-/// as the EdgeList shim always did.
+/// Runs BFS directly over CSR-backed inputs (zero-copy); edge-backed inputs
+/// (an EdgeList converts implicitly) build the CSR adjacency first.
 BaselineResult bfs_cc(const graph::ArcsInput& in);
-BaselineResult bfs_cc(const graph::EdgeList& el);
 
 }  // namespace logcc::baselines

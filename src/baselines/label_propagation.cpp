@@ -33,10 +33,6 @@ BaselineResult label_propagation(const graph::ArcsInput& in) {
   return out;
 }
 
-BaselineResult label_propagation(const graph::EdgeList& el) {
-  return label_propagation(graph::ArcsInput::from_edges(el));
-}
-
 BaselineResult liu_tarjan(const graph::ArcsInput& in) {
   const std::uint64_t n = in.num_vertices();
   std::vector<VertexId> p(n);
@@ -94,10 +90,6 @@ BaselineResult liu_tarjan(const graph::ArcsInput& in) {
   res.rounds = out.rounds;
   res.labels = std::move(p);
   return res;
-}
-
-BaselineResult liu_tarjan(const graph::EdgeList& el) {
-  return liu_tarjan(graph::ArcsInput::from_edges(el));
 }
 
 }  // namespace logcc::baselines

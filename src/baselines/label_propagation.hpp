@@ -13,12 +13,9 @@
 
 namespace logcc::baselines {
 
-// ArcsInput overloads are the real entry points (zero-copy for CSR-backed
-// datasets); the EdgeList overloads are forwarding shims.
+// Zero-copy for CSR-backed datasets; an EdgeList converts implicitly.
 BaselineResult label_propagation(const graph::ArcsInput& in);
-BaselineResult label_propagation(const graph::EdgeList& el);
 
 BaselineResult liu_tarjan(const graph::ArcsInput& in);
-BaselineResult liu_tarjan(const graph::EdgeList& el);
 
 }  // namespace logcc::baselines

@@ -289,9 +289,4 @@ BaselineResult liu_tarjan_variant(const graph::ArcsInput& in,
   return out;
 }
 
-BaselineResult liu_tarjan_variant(const graph::EdgeList& el,
-                                  const LtVariant& variant) {
-  return liu_tarjan_variant(graph::ArcsInput::from_edges(el), variant);
-}
-
 }  // namespace logcc::baselines

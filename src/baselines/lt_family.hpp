@@ -56,11 +56,8 @@ std::vector<LtVariant> lt_incorrect_variants();
 /// historical serial sweep for every thread count). Variants without ALTER
 /// sweep the input's own storage every round — zero-copy for CSR-backed
 /// (mmap) datasets; variants with ALTER materialize their shrinking
-/// working list on the first round. The EdgeList overload is a forwarding
-/// shim.
+/// working list on the first round.
 BaselineResult liu_tarjan_variant(const graph::ArcsInput& in,
-                                  const LtVariant& variant);
-BaselineResult liu_tarjan_variant(const graph::EdgeList& el,
                                   const LtVariant& variant);
 
 }  // namespace logcc::baselines

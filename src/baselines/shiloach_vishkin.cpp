@@ -94,8 +94,4 @@ BaselineResult shiloach_vishkin(const graph::ArcsInput& in) {
   return out;
 }
 
-BaselineResult shiloach_vishkin(const graph::EdgeList& el) {
-  return shiloach_vishkin(graph::ArcsInput::from_edges(el));
-}
-
 }  // namespace logcc::baselines

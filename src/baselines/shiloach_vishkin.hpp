@@ -13,16 +13,19 @@
 
 namespace logcc::baselines {
 
-struct BaselineResult {
-  std::vector<graph::VertexId> labels;
+template <typename V>
+struct BasicBaselineResult {
+  std::vector<V> labels;
   std::uint64_t rounds = 0;
 };
 
+using BaselineResult = BasicBaselineResult<graph::VertexId>;
+using BaselineResult64 = BasicBaselineResult<graph::VertexId64>;
+
 /// Original-style Shiloach–Vishkin: shortcut, hook-smaller, stagnant hook
-/// (via Q stamps), shortcut; O(log n) rounds. The ArcsInput overload sweeps
-/// the edges straight off the backing storage every round (zero-copy for
-/// CSR datasets); the EdgeList overload is a forwarding shim.
+/// (via Q stamps), shortcut; O(log n) rounds. Sweeps the edges straight off
+/// the backing storage every round (zero-copy for CSR datasets); an
+/// EdgeList converts implicitly.
 BaselineResult shiloach_vishkin(const graph::ArcsInput& in);
-BaselineResult shiloach_vishkin(const graph::EdgeList& el);
 
 }  // namespace logcc::baselines

@@ -4,25 +4,26 @@
 
 namespace logcc::baselines {
 
-using graph::VertexId;
-
-DisjointSets::DisjointSets(std::uint64_t n)
+template <typename V>
+BasicDisjointSets<V>::BasicDisjointSets(std::uint64_t n)
     : parent_(n), rank_(n, 0), num_sets_(n) {
-  for (std::uint64_t v = 0; v < n; ++v) parent_[v] = static_cast<VertexId>(v);
+  for (std::uint64_t v = 0; v < n; ++v) parent_[v] = static_cast<V>(v);
 }
 
-VertexId DisjointSets::find(VertexId v) {
+template <typename V>
+V BasicDisjointSets<V>::find(V v) {
   // Path splitting: every node on the find path points to its grandparent.
   while (parent_[v] != v) {
-    VertexId next = parent_[v];
+    V next = parent_[v];
     parent_[v] = parent_[next];
     v = next;
   }
   return v;
 }
 
-bool DisjointSets::unite(VertexId u, VertexId v) {
-  VertexId ru = find(u), rv = find(v);
+template <typename V>
+bool BasicDisjointSets<V>::unite(V u, V v) {
+  V ru = find(u), rv = find(v);
   if (ru == rv) return false;
   if (rank_[ru] < rank_[rv]) std::swap(ru, rv);
   parent_[rv] = ru;
@@ -31,29 +32,41 @@ bool DisjointSets::unite(VertexId u, VertexId v) {
   return true;
 }
 
-BaselineResult union_find_cc(const graph::ArcsInput& in) {
-  const std::uint64_t n = in.num_vertices();
-  DisjointSets ds(n);
-  in.for_each_edge(
-      [&](VertexId u, VertexId v, std::uint32_t) { ds.unite(u, v); });
+template class BasicDisjointSets<graph::VertexId>;
+template class BasicDisjointSets<graph::VertexId64>;
 
-  BaselineResult out;
+namespace {
+
+template <typename V>
+BasicBaselineResult<V> union_find_impl(const graph::BasicArcsInput<V>& in) {
+  using OrigId = typename graph::BasicArcsInput<V>::OrigId;
+  const std::uint64_t n = in.num_vertices();
+  BasicDisjointSets<V> ds(n);
+  in.for_each_edge([&](V u, V v, OrigId) { ds.unite(u, v); });
+
+  BasicBaselineResult<V> out;
   out.rounds = 1;
   // Canonicalise to min-id labels.
-  std::vector<VertexId> min_of(n);
-  for (std::uint64_t v = 0; v < n; ++v) min_of[v] = static_cast<VertexId>(v);
+  std::vector<V> min_of(n);
+  for (std::uint64_t v = 0; v < n; ++v) min_of[v] = static_cast<V>(v);
   for (std::uint64_t v = 0; v < n; ++v) {
-    VertexId r = ds.find(static_cast<VertexId>(v));
-    min_of[r] = std::min(min_of[r], static_cast<VertexId>(v));
+    V r = ds.find(static_cast<V>(v));
+    min_of[r] = std::min(min_of[r], static_cast<V>(v));
   }
   out.labels.resize(n);
   for (std::uint64_t v = 0; v < n; ++v)
-    out.labels[v] = min_of[ds.find(static_cast<VertexId>(v))];
+    out.labels[v] = min_of[ds.find(static_cast<V>(v))];
   return out;
 }
 
-BaselineResult union_find_cc(const graph::EdgeList& el) {
-  return union_find_cc(graph::ArcsInput::from_edges(el));
+}  // namespace
+
+BaselineResult union_find_cc(const graph::ArcsInput& in) {
+  return union_find_impl(in);
+}
+
+BaselineResult64 union_find_cc(const graph::ArcsInput64& in) {
+  return union_find_impl(in);
 }
 
 }  // namespace logcc::baselines

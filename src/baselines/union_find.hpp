@@ -11,26 +11,33 @@
 
 namespace logcc::baselines {
 
-class DisjointSets {
+template <typename V>
+class BasicDisjointSets {
  public:
-  explicit DisjointSets(std::uint64_t n);
+  explicit BasicDisjointSets(std::uint64_t n);
 
-  graph::VertexId find(graph::VertexId v);
+  V find(V v);
   /// Returns true if u and v were in different sets (i.e. a merge happened).
-  bool unite(graph::VertexId u, graph::VertexId v);
+  bool unite(V u, V v);
   std::uint64_t num_sets() const { return num_sets_; }
 
  private:
-  std::vector<graph::VertexId> parent_;
+  std::vector<V> parent_;
   std::vector<std::uint8_t> rank_;
   std::uint64_t num_sets_;
 };
 
-/// Connected components via union-find; labels are min vertex ids. The
-/// ArcsInput overload streams edges straight off the backing storage
-/// (zero-copy for CSR datasets); the EdgeList overload is a forwarding
-/// shim.
+using DisjointSets = BasicDisjointSets<graph::VertexId>;
+
+extern template class BasicDisjointSets<graph::VertexId>;
+extern template class BasicDisjointSets<graph::VertexId64>;
+
+/// Connected components via union-find; labels are min vertex ids, so the
+/// result is execution-independent — the oracle for everything else, at
+/// both index widths. Streams edges straight off the backing storage
+/// (zero-copy for CSR datasets); an EdgeList converts implicitly to the
+/// narrow input.
 BaselineResult union_find_cc(const graph::ArcsInput& in);
-BaselineResult union_find_cc(const graph::EdgeList& el);
+BaselineResult64 union_find_cc(const graph::ArcsInput64& in);
 
 }  // namespace logcc::baselines

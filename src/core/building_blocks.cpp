@@ -14,21 +14,22 @@
 
 namespace logcc::core {
 
-std::vector<Arc> arcs_from_edges(const graph::EdgeList& el) {
-  return arcs_from_input(graph::ArcsInput::from_edges(el));
-}
+namespace {
 
-std::vector<Arc> arcs_from_input(const graph::ArcsInput& in) {
-  LOGCC_CHECK_MSG(in.num_edges() <= std::numeric_limits<std::uint32_t>::max(),
-                  "edge count exceeds the 32-bit orig-index space");
+template <typename V>
+std::vector<BasicArc<V>> arcs_from_input_impl(
+    const graph::BasicArcsInput<V>& in) {
+  using OrigId = typename BasicArc<V>::OrigId;
+  LOGCC_CHECK_MSG(in.num_edges() <= std::numeric_limits<OrigId>::max(),
+                  "edge count exceeds the orig-index space");
   if (!in.csr_backed()) {
     const auto edges = in.edge_span();
     const std::uint64_t n = in.num_vertices();
-    std::vector<Arc> arcs(edges.size());
+    std::vector<BasicArc<V>> arcs(edges.size());
     util::parallel_for(0, edges.size(), [&](std::size_t i) {
       const auto& e = edges[i];
       LOGCC_CHECK(e.u < n && e.v < n);
-      arcs[i] = {e.u, e.v, static_cast<std::uint32_t>(i)};
+      arcs[i] = {e.u, e.v, static_cast<OrigId>(i)};
     });
     return arcs;
   }
@@ -38,38 +39,52 @@ std::vector<Arc> arcs_from_input(const graph::ArcsInput& in) {
   // `orig` is that arc's dense index in the canonical edge order — the
   // same indices edge_list_from_csr would have produced, so spanning-
   // forest results refer to the same edges on both paths.
-  const graph::CsrView& v = in.csr();
-  std::vector<Arc> arcs;
-  util::parallel_emit<Arc>(
+  const graph::BasicCsrView<V>& v = in.csr();
+  std::vector<BasicArc<V>> arcs;
+  util::parallel_emit<BasicArc<V>>(
       static_cast<std::size_t>(v.n), arcs,
       [&](std::size_t u) {
-        return graph::csr_suffix(v, static_cast<graph::VertexId>(u)).size();
+        return graph::csr_suffix(v, static_cast<V>(u)).size();
       },
-      [&](std::size_t u, Arc* dst) {
-        std::uint32_t orig = static_cast<std::uint32_t>(dst - arcs.data());
-        for (graph::VertexId w :
-             graph::csr_suffix(v, static_cast<graph::VertexId>(u)))
-          *dst++ = {static_cast<graph::VertexId>(u), w, orig++};
+      [&](std::size_t u, BasicArc<V>* dst) {
+        OrigId orig = static_cast<OrigId>(dst - arcs.data());
+        for (V w : graph::csr_suffix(v, static_cast<V>(u)))
+          *dst++ = {static_cast<V>(u), w, orig++};
       });
   return arcs;
 }
 
-void alter(std::vector<Arc>& arcs, const ParentForest& forest) {
+}  // namespace
+
+std::vector<Arc> arcs_from_input(const graph::ArcsInput& in) {
+  return arcs_from_input_impl(in);
+}
+
+std::vector<Arc64> arcs_from_input(const graph::ArcsInput64& in) {
+  return arcs_from_input_impl(in);
+}
+
+template <typename V>
+void alter(std::vector<BasicArc<V>>& arcs,
+           const BasicParentForest<V>& forest) {
   util::parallel_for(0, arcs.size(), [&](std::size_t i) {
-    Arc& a = arcs[i];
+    BasicArc<V>& a = arcs[i];
     a.u = forest.parent(a.u);
     a.v = forest.parent(a.v);
   });
 }
 
-std::uint64_t drop_loops(std::vector<Arc>& arcs) {
-  return util::parallel_pack(arcs, [](const Arc& a) { return a.u != a.v; });
+template <typename V>
+std::uint64_t drop_loops(std::vector<BasicArc<V>>& arcs) {
+  return util::parallel_pack(arcs,
+                             [](const BasicArc<V>& a) { return a.u != a.v; });
 }
 
-bool has_nonloop(const std::vector<Arc>& arcs) {
+template <typename V>
+bool has_nonloop(const std::vector<BasicArc<V>>& arcs) {
   const std::size_t n = arcs.size();
   if (n < util::kSerialGrain) {
-    for (const Arc& a : arcs)
+    for (const BasicArc<V>& a : arcs)
       if (a.u != a.v) return true;
     return false;
   }
@@ -171,28 +186,31 @@ std::uint64_t count_ongoing(const ParentForest& forest,
 namespace {
 
 /// (u, v, orig) order: groups undirected duplicates, min orig first.
-bool arc_less(const Arc& a, const Arc& b) {
+template <typename V>
+bool arc_less(const BasicArc<V>& a, const BasicArc<V>& b) {
   if (a.u != b.u) return a.u < b.u;
   if (a.v != b.v) return a.v < b.v;
   return a.orig < b.orig;
 }
 
-bool arc_same_pair(const Arc& a, const Arc& b) {
+template <typename V>
+bool arc_same_pair(const BasicArc<V>& a, const BasicArc<V>& b) {
   return a.u == b.u && a.v == b.v;
 }
 
 /// Serial dedup path (and the semantics contract for the bucketed path):
 /// normalize u <= v, then keep the minimum-orig arc per (u, v) pair.
-void dedup_serial(std::vector<Arc>& arcs) {
-  std::sort(arcs.begin(), arcs.end(), arc_less);
-  arcs.erase(std::unique(arcs.begin(), arcs.end(), arc_same_pair),
+template <typename V>
+void dedup_serial(std::vector<BasicArc<V>>& arcs) {
+  std::sort(arcs.begin(), arcs.end(), arc_less<V>);
+  arcs.erase(std::unique(arcs.begin(), arcs.end(), arc_same_pair<V>),
              arcs.end());
 }
 
 // Arc lists big enough that the bucketed path amortises its two extra
-// passes. Chosen by size only — never by thread count — so a given input
-// always takes the same path and yields the same output (see scan.hpp on
-// the determinism contract).
+// passes. Chosen by size only — never by thread count or index width — so
+// a given input always takes the same path and yields the same output (see
+// scan.hpp on the determinism contract).
 constexpr std::size_t kDedupBucketCutoff = 4 * util::kSerialGrain;
 
 std::size_t dedup_bucket_count(std::size_t n) {
@@ -202,63 +220,70 @@ std::size_t dedup_bucket_count(std::size_t n) {
 }
 
 /// In-bucket sort + unique, in place; returns the surviving count. Large
-/// buckets take the radix path: a stable LSD sort on the packed (u, v) key
-/// followed by a run scan that keeps the minimum-orig arc per pair —
-/// exactly the survivor std::sort(arc_less) + unique kept, so the two
-/// paths produce identical contents and the per-bucket size cutoff (a pure
-/// function of the input) cannot affect results.
-std::size_t dedup_bucket(Arc* a, std::size_t n) {
-  if (n < util::kRadixSortCutoff) {
-    std::sort(a, a + n, arc_less);
-    return static_cast<std::size_t>(std::unique(a, a + n, arc_same_pair) - a);
+/// narrow buckets take the radix path: a stable LSD sort on the packed
+/// (u, v) key followed by a run scan that keeps the minimum-orig arc per
+/// pair — exactly the survivor std::sort(arc_less) + unique kept, so the
+/// two paths produce identical contents and the per-bucket size cutoff (a
+/// pure function of the input) cannot affect results. Wide ids do not pack
+/// into one 64-bit key, so wide buckets always take the comparison sort —
+/// with the same output, element for element.
+template <typename V>
+std::size_t dedup_bucket(BasicArc<V>* a, std::size_t n) {
+  if constexpr (sizeof(V) == 4) {
+    if (n >= util::kRadixSortCutoff) {
+      util::radix_sort_key64(a, n, [](const BasicArc<V>& x) {
+        return (static_cast<std::uint64_t>(x.u) << 32) | x.v;
+      });
+      std::size_t out = 0;
+      for (std::size_t i = 0; i < n;) {
+        BasicArc<V> best = a[i];
+        std::size_t j = i + 1;
+        for (; j < n && arc_same_pair(a[j], best); ++j)
+          if (a[j].orig < best.orig) best = a[j];
+        a[out++] = best;
+        i = j;
+      }
+      return out;
+    }
   }
-  util::radix_sort_key64(a, n, [](const Arc& x) {
-    return (static_cast<std::uint64_t>(x.u) << 32) | x.v;
-  });
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < n;) {
-    Arc best = a[i];
-    std::size_t j = i + 1;
-    for (; j < n && arc_same_pair(a[j], best); ++j)
-      if (a[j].orig < best.orig) best = a[j];
-    a[out++] = best;
-    i = j;
-  }
-  return out;
+  std::sort(a, a + n, arc_less<V>);
+  const BasicArc<V>* end = std::unique(a, a + n, arc_same_pair<V>);
+  return static_cast<std::size_t>(end - a);
 }
 
 /// Bucket-partitioned dedup: scatter arcs by mix64(u) high bits (all copies
-/// of a pair share u after normalization, hence a bucket), radix-sort +
-/// unique each bucket independently (dedup_bucket above), then pack the
-/// survivors back. Output order is bucket-major — deterministic, but
-/// different from the fully sorted serial path, which is why the path
-/// choice above keys on size alone. All staging lives in arena scratch
-/// (round arena on the dispatcher, lane arenas on workers), so a
-/// steady-state round's dedup performs no heap allocation.
-void dedup_bucketed(std::vector<Arc>& arcs) {
+/// of a pair share u after normalization, hence a bucket), sort + unique
+/// each bucket independently (dedup_bucket above), then pack the survivors
+/// back. Output order is bucket-major — deterministic, but different from
+/// the fully sorted serial path, which is why the path choice above keys on
+/// size alone. All staging lives in arena scratch (round arena on the
+/// dispatcher, lane arenas on workers), so a steady-state round's dedup
+/// performs no heap allocation.
+template <typename V>
+void dedup_bucketed(std::vector<BasicArc<V>>& arcs) {
   const std::size_t n = arcs.size();
   const std::size_t buckets = dedup_bucket_count(n);
   const int shift = 64 - std::countr_zero(buckets);
-  util::ScratchBuffer<Arc> scattered(n);
+  util::ScratchBuffer<BasicArc<V>> scattered(n);
   util::ScratchBuffer<std::size_t> bucket_begin(buckets + 1);
   util::parallel_bucket_partition_into(
       arcs.data(), n, scattered.data(), bucket_begin.span(), buckets,
-      [shift](const Arc& a) {
+      [shift](const BasicArc<V>& a) {
         return static_cast<std::size_t>(util::mix64(a.u) >> shift);
       });
 
   // Sort + unique each bucket in place; record surviving sizes.
   util::ScratchBuffer<std::size_t> kept(buckets);
   util::parallel_for_blocks(buckets, [&](std::size_t k) {
-    Arc* lo = scattered.data() + bucket_begin[k];
+    BasicArc<V>* lo = scattered.data() + bucket_begin[k];
     kept[k] = dedup_bucket(lo, bucket_begin[k + 1] - bucket_begin[k]);
   });
 
   const std::size_t total = util::parallel_prefix_sum(kept.data(), buckets);
   arcs.resize(total);
   util::parallel_for_blocks(buckets, [&](std::size_t k) {
-    const Arc* src = scattered.data() + bucket_begin[k];
-    Arc* dst = arcs.data() + kept[k];
+    const BasicArc<V>* src = scattered.data() + bucket_begin[k];
+    BasicArc<V>* dst = arcs.data() + kept[k];
     const std::size_t len = (k + 1 < buckets ? kept[k + 1] : total) - kept[k];
     std::copy(src, src + len, dst);
   });
@@ -266,9 +291,10 @@ void dedup_bucketed(std::vector<Arc>& arcs) {
 
 }  // namespace
 
-void dedup_arcs(std::vector<Arc>& arcs) {
+template <typename V>
+void dedup_arcs(std::vector<BasicArc<V>>& arcs) {
   util::parallel_for(0, arcs.size(), [&](std::size_t i) {
-    Arc& a = arcs[i];
+    BasicArc<V>& a = arcs[i];
     if (a.u > a.v) std::swap(a.u, a.v);
   });
   if (arcs.size() < kDedupBucketCutoff) {
@@ -277,6 +303,15 @@ void dedup_arcs(std::vector<Arc>& arcs) {
     dedup_bucketed(arcs);
   }
 }
+
+template void alter(std::vector<Arc>&, const ParentForest&);
+template void alter(std::vector<Arc64>&, const ParentForest64&);
+template std::uint64_t drop_loops(std::vector<Arc>&);
+template std::uint64_t drop_loops(std::vector<Arc64>&);
+template void dedup_arcs(std::vector<Arc>&);
+template void dedup_arcs(std::vector<Arc64>&);
+template bool has_nonloop(const std::vector<Arc>&);
+template bool has_nonloop(const std::vector<Arc64>&);
 
 namespace {
 

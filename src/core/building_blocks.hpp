@@ -20,46 +20,62 @@
 
 namespace logcc::core {
 
-struct Arc {
-  VertexId u = 0;
-  VertexId v = 0;
-  std::uint32_t orig = 0;  // index into the input EdgeList
-  friend bool operator==(const Arc&, const Arc&) = default;
+/// An arc of the working graph. `orig` is the arc's index in the canonical
+/// input edge order, dense in the input's orig-index type (uint32 narrow,
+/// uint64 wide). Arc is the narrow instantiation every algorithm runs on;
+/// Arc64 is what the wide Vanilla and the faster-cc bridge run on.
+template <typename V>
+struct BasicArc {
+  using OrigId = typename graph::BasicArcsInput<V>::OrigId;
+  V u = 0;
+  V v = 0;
+  OrigId orig = 0;  // index into the canonical input edge order
+  friend bool operator==(const BasicArc&, const BasicArc&) = default;
 };
 
-/// Builds the initial arc list from the input (one Arc per undirected edge;
-/// algorithms enumerate both directions).
-std::vector<Arc> arcs_from_edges(const graph::EdgeList& el);
+using Arc = BasicArc<VertexId>;
+using Arc64 = BasicArc<VertexId64>;
 
-/// arcs_from_edges generalized to ArcsInput — the CSR-native ingestion
-/// path. Edge-backed inputs copy the span in parallel (identical to
-/// arcs_from_edges); CSR-backed inputs scatter arcs straight out of the
-/// (mmap'd) adjacency with a blocked parallel emit, no intermediate
-/// EdgeList. The emitted (u, v, orig) sequence for a CSR is exactly
-/// arcs_from_edges(edge_list_from_csr(csr)) — the canonical smaller-
-/// endpoint order — so every downstream result is bit-identical between
-/// the two paths, for every thread count.
+/// Builds the initial arc list from the input: one arc per undirected edge
+/// (algorithms enumerate both directions). Edge-backed inputs copy the span
+/// in parallel; CSR-backed inputs scatter arcs straight out of the (mmap'd)
+/// adjacency with a blocked parallel emit, no intermediate EdgeList. The
+/// emitted (u, v, orig) sequence for a CSR is exactly the one its
+/// edge_list_from_csr would give — the canonical smaller-endpoint order —
+/// so every downstream result is bit-identical between the two paths, for
+/// every thread count. One overload per width; an EdgeList converts
+/// implicitly to the narrow input.
 std::vector<Arc> arcs_from_input(const graph::ArcsInput& in);
+std::vector<Arc64> arcs_from_input(const graph::ArcsInput64& in);
+
+// The building blocks below are templates over the vertex width,
+// instantiated for VertexId and VertexId64 in building_blocks.cpp. V
+// defaults to the narrow width, which a braced-list argument (say
+// `has_nonloop({})`) cannot deduce.
 
 /// ALTER: every arc (u, v) becomes (u.p, v.p); `orig` is preserved.
 /// Data-parallel map over the arcs.
-void alter(std::vector<Arc>& arcs, const ParentForest& forest);
+template <typename V = VertexId>
+void alter(std::vector<BasicArc<V>>& arcs, const BasicParentForest<V>& forest);
 
 /// Drops self-loop arcs (u == v) with a stable parallel pack. Returns the
 /// number removed.
-std::uint64_t drop_loops(std::vector<Arc>& arcs);
+template <typename V = VertexId>
+std::uint64_t drop_loops(std::vector<BasicArc<V>>& arcs);
 
 /// Dedup on (u, v) treating arcs as undirected; keeps the minimum `orig`
 /// per surviving pair. Controls arc-list growth after ALTERs. Small lists
 /// sort+unique serially; large ones bucket-partition by mix64(u) high bits
 /// and sort buckets in parallel. The path is chosen by size only, so for a
 /// given input the output (including its order) is identical on every
-/// thread count.
-void dedup_arcs(std::vector<Arc>& arcs);
+/// thread count — and on both widths, for ids that fit both.
+template <typename V = VertexId>
+void dedup_arcs(std::vector<BasicArc<V>>& arcs);
 
 /// True iff some arc is not a self-loop — the paper's "no edge exists other
 /// than loops" break condition, negated.
-bool has_nonloop(const std::vector<Arc>& arcs);
+template <typename V = VertexId>
+bool has_nonloop(const std::vector<BasicArc<V>>& arcs);
 
 /// Sentinel for the collect_ongoing scratch: "vertex not yet seen".
 inline constexpr std::uint64_t kUnseenIndex = static_cast<std::uint64_t>(-1);

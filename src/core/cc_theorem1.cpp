@@ -202,8 +202,4 @@ CcResult theorem1_cc(const graph::ArcsInput& in, const Theorem1Params& params) {
   return out;
 }
 
-CcResult theorem1_cc(const graph::EdgeList& el, const Theorem1Params& params) {
-  return theorem1_cc(graph::ArcsInput::from_edges(el), params);
-}
-
 }  // namespace logcc::core

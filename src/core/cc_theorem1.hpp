@@ -56,16 +56,10 @@ struct Theorem1Params {
   static Theorem1Params paper(std::uint64_t n, std::uint64_t m);
 };
 
-struct CcResult {
-  std::vector<VertexId> labels;  // root id per vertex
-  RunStats stats;
-};
-
-/// ArcsInput is the real entry point (CSR-backed inputs ingest without an
-/// EdgeList); the EdgeList overload is a forwarding shim.
+/// An EdgeList converts implicitly to the ArcsInput (CSR-backed inputs
+/// ingest without one).
 CcResult theorem1_cc(const graph::ArcsInput& in,
                      const Theorem1Params& params = {});
-CcResult theorem1_cc(const graph::EdgeList& el, const Theorem1Params& params = {});
 
 /// Phase loop only, operating in place on (forest, arcs); used by the
 /// Theorem-3 driver as its postprocessing stage. Arcs must connect roots of

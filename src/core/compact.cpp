@@ -149,8 +149,4 @@ CompactResult compact(const graph::ArcsInput& in, const CompactParams& params) {
   return out;
 }
 
-CompactResult compact(const graph::EdgeList& el, const CompactParams& params) {
-  return compact(graph::ArcsInput::from_edges(el), params);
-}
-
 }  // namespace logcc::core

@@ -56,9 +56,7 @@ struct CompactResult {
 };
 
 /// Runs PREPARE + renaming on the input. The returned arcs connect compact
-/// ids of the ongoing roots. The ArcsInput overload is the real entry
-/// point; the EdgeList overload is a forwarding shim.
+/// ids of the ongoing roots.
 CompactResult compact(const graph::ArcsInput& in, const CompactParams& params);
-CompactResult compact(const graph::EdgeList& el, const CompactParams& params);
 
 }  // namespace logcc::core

@@ -49,26 +49,4 @@ ComponentIndex ComponentIndex::from_canonical_labels(
   return finish(std::move(labels));
 }
 
-void ComponentIndex::attach_forest(std::vector<VertexId> forest) {
-  LOGCC_CHECK_MSG(forest.size() == labels_.size(),
-                  "attach_forest: size mismatch");
-  // Every chain must terminate at the vertex's canonical label; pointer
-  // chasing is bounded by n (the check below trips on a cycle first).
-  const std::uint64_t n = forest.size();
-  const bool consistent = util::parallel_reduce(
-      std::size_t{0}, static_cast<std::size_t>(n), true,
-      [&](std::size_t v) {
-        VertexId r = forest[v];
-        std::uint64_t hops = 0;
-        while (forest[r] != r) {
-          r = forest[r];
-          if (++hops > n) return false;  // cycle
-        }
-        return r == labels_[v];
-      },
-      [](bool a, bool b) { return a && b; });
-  LOGCC_CHECK_MSG(consistent, "attach_forest: roots disagree with labels");
-  forest_ = std::move(forest);
-}
-
 }  // namespace logcc::core

@@ -4,8 +4,8 @@
 // algorithms behind logcc::connected_components, the incremental
 // serve::ConnectivityEngine, and the bench certificate path — produces (or
 // publishes) exactly this type: canonical min-id labels, per-component
-// sizes, the component count, and an optional parent forest, all computed
-// in one deterministic parallel pass.
+// sizes, and the component count, all computed in one deterministic
+// parallel pass.
 //
 // An index is an immutable *snapshot*: once built it is never mutated, so a
 // std::shared_ptr<const ComponentIndex> can be handed to any number of
@@ -63,16 +63,7 @@ class ComponentIndex {
   /// canonical label is r, and 0 at every non-root index.
   const std::vector<std::uint64_t>& sizes() const { return sizes_; }
 
-  /// Optional parent forest (§2.1 labeled-digraph shape): parent pointers
-  /// whose find_root agrees with labels(). Absent unless a producer
-  /// attaches one (the serve engine can, for diagnostics).
-  bool has_forest() const { return !forest_.empty(); }
-  const std::vector<graph::VertexId>& forest() const { return forest_; }
-  /// Attaches a parent forest; LOGCC_CHECKs that its roots match labels().
-  void attach_forest(std::vector<graph::VertexId> forest);
-
   friend bool operator==(const ComponentIndex& a, const ComponentIndex& b) {
-    // The forest is diagnostic metadata, not part of the partition value.
     return a.labels_ == b.labels_ && a.sizes_ == b.sizes_ &&
            a.num_components_ == b.num_components_;
   }
@@ -84,7 +75,6 @@ class ComponentIndex {
 
   std::vector<graph::VertexId> labels_;
   std::vector<std::uint64_t> sizes_;
-  std::vector<graph::VertexId> forest_;  // empty == absent
   std::uint64_t num_components_ = 0;
 };
 

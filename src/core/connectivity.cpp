@@ -127,13 +127,6 @@ ComponentsResult connected_components(const graph::ArcsInput& in,
   return out;
 }
 
-ComponentsResult connected_components(const graph::EdgeList& el,
-                                      Algorithm algorithm,
-                                      const Options& options) {
-  return connected_components(graph::ArcsInput::from_edges(el), algorithm,
-                              options);
-}
-
 ForestResult spanning_forest(const graph::ArcsInput& in, SfAlgorithm algorithm,
                              const Options& options) {
   ForestResult out;
@@ -158,11 +151,6 @@ ForestResult spanning_forest(const graph::ArcsInput& in, SfAlgorithm algorithm,
   }
   out.seconds = timer.seconds();
   return out;
-}
-
-ForestResult spanning_forest(const graph::EdgeList& el, SfAlgorithm algorithm,
-                             const Options& options) {
-  return spanning_forest(graph::ArcsInput::from_edges(el), algorithm, options);
 }
 
 bool verify_components(const graph::ArcsInput& in,
@@ -202,11 +190,6 @@ bool verify_components(const graph::ArcsInput& in,
                        const std::vector<graph::VertexId>& labels) {
   if (labels.size() != in.num_vertices()) return false;
   return verify_components(in, core::ComponentIndex::from_labels(labels));
-}
-
-bool verify_components(const graph::EdgeList& el,
-                       const std::vector<graph::VertexId>& labels) {
-  return verify_components(graph::ArcsInput::from_edges(el), labels);
 }
 
 }  // namespace logcc

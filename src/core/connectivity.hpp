@@ -77,13 +77,6 @@ struct ComponentsResult {
 ComponentsResult connected_components(
     const graph::ArcsInput& in, Algorithm algorithm = Algorithm::kFasterCC,
     const Options& options = {});
-/// Legacy: EdgeList forwarding shim, kept for source compatibility. New
-/// code should wrap its edges with graph::ArcsInput::from_edges (free) and
-/// call the overload above — the zero-copy path is the documented entry
-/// point (see docs/ARCHITECTURE.md, "ArcsInput layer").
-ComponentsResult connected_components(
-    const graph::EdgeList& el, Algorithm algorithm = Algorithm::kFasterCC,
-    const Options& options = {});
 
 enum class SfAlgorithm {
   kTheorem2,  // §C
@@ -97,10 +90,6 @@ struct ForestResult {
 };
 
 ForestResult spanning_forest(const graph::ArcsInput& in,
-                             SfAlgorithm algorithm = SfAlgorithm::kTheorem2,
-                             const Options& options = {});
-/// Legacy: EdgeList forwarding shim — see connected_components above.
-ForestResult spanning_forest(const graph::EdgeList& el,
                              SfAlgorithm algorithm = SfAlgorithm::kTheorem2,
                              const Options& options = {});
 
@@ -117,8 +106,6 @@ bool verify_components(const graph::ArcsInput& in,
 /// from_labels) and verify that. Equal labels iff same component is still
 /// the only contract on the input vector.
 bool verify_components(const graph::ArcsInput& in,
-                       const std::vector<graph::VertexId>& labels);
-bool verify_components(const graph::EdgeList& el,
                        const std::vector<graph::VertexId>& labels);
 
 }  // namespace logcc

@@ -1,10 +1,12 @@
 #include "core/faster_cc.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "core/compact.hpp"
 #include "core/expand_maxlink.hpp"
 #include "core/round_arena.hpp"
+#include "core/vanilla.hpp"
 #include "util/arena.hpp"
 #include "util/bitutil.hpp"
 #include "util/check.hpp"
@@ -99,8 +101,117 @@ CcResult faster_cc(const graph::ArcsInput& in, const FasterCcParams& params) {
   return out;
 }
 
-CcResult faster_cc(const graph::EdgeList& el, const FasterCcParams& params) {
-  return faster_cc(graph::ArcsInput::from_edges(el), params);
+// ------------------------------------------------- wide (64-bit) bridge ---
+
+namespace {
+
+/// Delegate branch: the whole input fits the 32-bit space, so narrow it and
+/// run the narrow faster_cc (bit-identical to a native narrow run), then
+/// widen the labels.
+CcResult64 faster_delegate(const graph::ArcsInput64& in,
+                           const FasterCcParams& params) {
+  CcResult narrow;
+  if (in.csr_backed()) {
+    const graph::CsrView64& wv = in.csr();
+    std::vector<VertexId> adj(wv.num_arcs());
+    util::parallel_for(0, adj.size(), [&](std::size_t i) {
+      adj[i] = static_cast<VertexId>(wv.adj[i]);
+    });
+    graph::CsrView nv;
+    nv.n = wv.n;
+    nv.edges = wv.edges;
+    nv.offsets = wv.offsets;  // offsets are uint64 at both widths
+    nv.adj = adj.data();
+    narrow = faster_cc(graph::ArcsInput::from_csr(nv), params);
+  } else {
+    const auto wide = in.edge_span();
+    std::vector<graph::Edge> edges(wide.size());
+    util::parallel_for(0, edges.size(), [&](std::size_t i) {
+      edges[i] = {static_cast<VertexId>(wide[i].u),
+                  static_cast<VertexId>(wide[i].v)};
+    });
+    narrow = faster_cc(graph::ArcsInput::from_edges(in.num_vertices(), edges),
+                       params);
+  }
+  CcResult64 out;
+  out.stats = std::move(narrow.stats);
+  out.labels.assign(narrow.labels.begin(), narrow.labels.end());
+  return out;
+}
+
+}  // namespace
+
+CcResult64 faster_cc(const graph::ArcsInput64& in,
+                     const FasterCcParams& params,
+                     std::uint64_t narrow_threshold) {
+  const std::uint64_t cap = std::min<std::uint64_t>(
+      narrow_threshold, std::numeric_limits<std::uint32_t>::max());
+  if (in.num_vertices() <= cap && in.num_edges() <= cap)
+    return faster_delegate(in, params);
+
+  // Contract-then-delegate: wide Vanilla phases shrink the live arc list;
+  // once it fits the 32-bit space the survivors are renamed dense and the
+  // narrow faster-cc finishes the job.
+  CcResult64 out;
+  RoundArena round_arena;
+  RoundArena::Scope arena_scope(round_arena);
+  ParentForest64 forest(in.num_vertices());
+  std::vector<Arc64> arcs = arcs_from_input(in);
+  drop_loops(arcs);
+  dedup_arcs(arcs);
+  // Each Vanilla phase removes (in expectation) a constant fraction of live
+  // vertices, so this terminates in O(log n) phases; the cap/2 slack keeps
+  // the renamed vertex count (<= 2 * arcs) within the 32-bit space. One
+  // phase per call, so each call gets its own coin seed (as in COMPACT's
+  // PREPARE).
+  const std::uint64_t arc_target = std::max<std::uint64_t>(cap / 2, 1);
+  VanillaOptions vo;
+  vo.max_phases = 1;
+  for (std::uint64_t phase = 0; has_nonloop(arcs) && arcs.size() > arc_target;
+       ++phase) {
+    vo.seed = util::mix64(params.seed, 0xC0DE00 + phase);
+    vanilla_phases(forest, arcs, vo, out.stats);
+  }
+  forest.flatten();
+
+  // Rename surviving endpoints in first-appearance order (deterministic:
+  // the arc list order is execution-independent).
+  std::unordered_map<VertexId64, VertexId> rename;
+  std::vector<VertexId64> orig_of;
+  rename.reserve(arcs.size() * 2);
+  graph::EdgeList contracted;
+  contracted.edges.reserve(arcs.size());
+  auto id_of = [&](VertexId64 v) {
+    auto [it, inserted] =
+        rename.try_emplace(v, static_cast<VertexId>(orig_of.size()));
+    if (inserted) orig_of.push_back(v);
+    return it->second;
+  };
+  for (const Arc64& a : arcs) {
+    if (a.u == a.v) continue;
+    const VertexId u = id_of(a.u);
+    const VertexId v = id_of(a.v);
+    contracted.add(u, v);
+  }
+  contracted.n = orig_of.size();
+
+  std::vector<VertexId> narrow_labels;
+  if (!contracted.edges.empty()) {
+    CcResult fin = faster_cc(contracted, params);
+    out.stats.absorb(fin.stats);
+    narrow_labels = std::move(fin.labels);
+  }
+
+  // Map back: a vertex whose root survived into the contracted graph takes
+  // its component's faster-cc representative (translated to the wide id
+  // space); a fully contracted component keeps its root.
+  out.labels.resize(in.num_vertices());
+  util::parallel_for(0, in.num_vertices(), [&](std::size_t v) {
+    const VertexId64 r = forest.find_root(static_cast<VertexId64>(v));
+    auto it = rename.find(r);
+    out.labels[v] = it == rename.end() ? r : orig_of[narrow_labels[it->second]];
+  });
+  return out;
 }
 
 }  // namespace logcc::core

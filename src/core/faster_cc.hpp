@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "core/budget.hpp"
@@ -43,11 +44,22 @@ struct FasterCcParams {
   Theorem1Params postprocess;
 };
 
-/// ArcsInput is the real entry point (CSR-backed inputs ingest without an
-/// EdgeList); the EdgeList overload is a forwarding shim.
+/// CSR-backed inputs ingest without an EdgeList; an EdgeList converts
+/// implicitly.
 CcResult faster_cc(const graph::ArcsInput& in,
                    const FasterCcParams& params = {});
-CcResult faster_cc(const graph::EdgeList& el,
-                   const FasterCcParams& params = {});
+
+/// faster-cc on the wide (64-bit) path, by a narrowing bridge. COMPACT and
+/// EXPAND-MAXLINK are narrow only, so an input whose vertex and edge counts
+/// both fit `narrow_threshold` (capped at the 32-bit limit) runs the narrow
+/// faster_cc directly, with labels bit-identical to a narrow run. A wider
+/// input first contracts with wide Vanilla phases until its arc list fits
+/// half the threshold, renames the surviving roots into a dense 32-bit
+/// space, finishes there with the narrow faster_cc, and maps the labels back
+/// through the wide forest. Tests lower `narrow_threshold` to force the
+/// contracting branch at small scale.
+CcResult64 faster_cc(
+    const graph::ArcsInput64& in, const FasterCcParams& params = {},
+    std::uint64_t narrow_threshold = std::numeric_limits<std::uint32_t>::max());
 
 }  // namespace logcc::core

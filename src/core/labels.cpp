@@ -6,7 +6,8 @@
 
 namespace logcc::core {
 
-bool ParentForest::shortcut() {
+template <typename V>
+bool BasicParentForest<V>::shortcut() {
   // Fused pass: compute next[v] = v.p.p into the persistent scratch buffer
   // and fold the changed flag in the same sweep (the seed did two passes
   // plus a fresh allocation per call). Double-buffering keeps the step
@@ -16,7 +17,7 @@ bool ParentForest::shortcut() {
   const bool changed = util::parallel_reduce(
       std::size_t{0}, static_cast<std::size_t>(n), false,
       [&](std::size_t v) {
-        const VertexId next = parent_[parent_[v]];
+        const V next = parent_[parent_[v]];
         scratch_[v] = next;
         return next != parent_[v];
       },
@@ -25,14 +26,16 @@ bool ParentForest::shortcut() {
   return changed;
 }
 
-std::uint64_t ParentForest::flatten() {
+template <typename V>
+std::uint64_t BasicParentForest<V>::flatten() {
   std::uint64_t steps = 0;
   while (shortcut()) ++steps;
   return steps + 1;  // the final no-op step is still a step
 }
 
-VertexId ParentForest::find_root(VertexId v) const {
-  VertexId steps = 0;
+template <typename V>
+V BasicParentForest<V>::find_root(V v) const {
+  V steps = 0;
   while (parent_[v] != v) {
     v = parent_[v];
     LOGCC_CHECK_MSG(++steps <= parent_.size(), "cycle in parent forest");
@@ -40,42 +43,48 @@ VertexId ParentForest::find_root(VertexId v) const {
   return v;
 }
 
-bool ParentForest::all_flat() const {
+template <typename V>
+bool BasicParentForest<V>::all_flat() const {
   for (std::uint64_t v = 0; v < parent_.size(); ++v)
     if (parent_[parent_[v]] != parent_[v]) return false;
   return true;
 }
 
-bool ParentForest::acyclic() const {
+template <typename V>
+bool BasicParentForest<V>::acyclic() const {
   // Iterative colouring walk: any vertex returning to an in-progress walk
   // without reaching a self-loop witnesses a nontrivial cycle.
   const std::uint64_t n = parent_.size();
   std::vector<std::uint8_t> state(n, 0);  // 0 unvisited, 1 on path, 2 done
-  std::vector<VertexId> path;
+  std::vector<V> path;
   for (std::uint64_t s = 0; s < n; ++s) {
     if (state[s] != 0) continue;
-    VertexId v = static_cast<VertexId>(s);
+    V v = static_cast<V>(s);
     path.clear();
     while (state[v] == 0) {
       state[v] = 1;
       path.push_back(v);
-      VertexId p = parent_[v];
+      V p = parent_[v];
       if (p == v) break;  // root
       v = p;
     }
     if (state[v] == 1 && parent_[v] != v) return false;  // hit the open path
-    for (VertexId u : path) state[u] = 2;
+    for (V u : path) state[u] = 2;
   }
   return true;
 }
 
-std::vector<VertexId> ParentForest::root_labels() const {
-  std::vector<VertexId> out(parent_.size());
+template <typename V>
+std::vector<V> BasicParentForest<V>::root_labels() const {
+  std::vector<V> out(parent_.size());
   util::parallel_for(0, parent_.size(), [&](std::size_t v) {
-    out[v] = find_root(static_cast<VertexId>(v));
+    out[v] = find_root(static_cast<V>(v));
   });
   return out;
 }
+
+template class BasicParentForest<VertexId>;
+template class BasicParentForest<VertexId64>;
 
 bool level_invariant_holds(const ParentForest& forest,
                            const std::vector<std::uint32_t>& level) {

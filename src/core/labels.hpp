@@ -2,6 +2,12 @@
 // digraph's only cycles are self-loops, so it is a forest of rooted trees.
 // ParentForest owns the pointer array plus the operations and invariant
 // checks every algorithm in the paper shares.
+//
+// Index-width contract: the forest is a template over the vertex width V,
+// like the graph.hpp types. ParentForest is the narrow (uint32)
+// instantiation every algorithm runs on; ParentForest64 is the same code at
+// 64 bits, which the wide Vanilla and faster-cc bridge run on. Both are
+// instantiated explicitly in labels.cpp.
 #pragma once
 
 #include <cstdint>
@@ -12,24 +18,25 @@
 namespace logcc::core {
 
 using graph::VertexId;
+using graph::VertexId64;
 
-class ParentForest {
+template <typename V>
+class BasicParentForest {
  public:
-  ParentForest() = default;
-  explicit ParentForest(std::uint64_t n) { reset(n); }
+  BasicParentForest() = default;
+  explicit BasicParentForest(std::uint64_t n) { reset(n); }
 
   void reset(std::uint64_t n) {
     parent_.resize(n);
-    for (std::uint64_t v = 0; v < n; ++v)
-      parent_[v] = static_cast<VertexId>(v);
+    for (std::uint64_t v = 0; v < n; ++v) parent_[v] = static_cast<V>(v);
   }
 
   std::uint64_t size() const { return parent_.size(); }
 
-  VertexId parent(VertexId v) const { return parent_[v]; }
-  void set_parent(VertexId v, VertexId p) { parent_[v] = p; }
+  V parent(V v) const { return parent_[v]; }
+  void set_parent(V v, V p) { parent_[v] = p; }
 
-  bool is_root(VertexId v) const { return parent_[v] == v; }
+  bool is_root(V v) const { return parent_[v] == v; }
 
   /// One synchronous SHORTCUT step: v.p := v.p.p for all v (reads the old
   /// pointers). Returns true if any pointer changed.
@@ -40,25 +47,31 @@ class ParentForest {
   std::uint64_t flatten();
 
   /// Root of v's tree by pointer chasing (no mutation).
-  VertexId find_root(VertexId v) const;
+  V find_root(V v) const;
 
   bool all_flat() const;
 
   /// Invariant check (§2.1): the only cycles are self-loops.
   bool acyclic() const;
 
-  const std::vector<VertexId>& raw() const { return parent_; }
-  std::vector<VertexId>& raw() { return parent_; }
+  const std::vector<V>& raw() const { return parent_; }
+  std::vector<V>& raw() { return parent_; }
 
   /// Labels vector where every vertex maps to its root.
-  std::vector<VertexId> root_labels() const;
+  std::vector<V> root_labels() const;
 
  private:
-  std::vector<VertexId> parent_;
+  std::vector<V> parent_;
   // Double buffer for shortcut(); persists across calls so flatten() and the
   // phase loops allocate once per forest instead of once per step.
-  std::vector<VertexId> scratch_;
+  std::vector<V> scratch_;
 };
+
+using ParentForest = BasicParentForest<VertexId>;
+using ParentForest64 = BasicParentForest<VertexId64>;
+
+extern template class BasicParentForest<VertexId>;
+extern template class BasicParentForest<VertexId64>;
 
 /// Lemma 3.2 / D.4 invariant: every non-root has level strictly below its
 /// parent's level. Returns true when it holds.

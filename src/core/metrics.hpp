@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/graph.hpp"
+
 namespace logcc::core {
 
 struct RunStats {
@@ -60,5 +62,17 @@ struct RunStats {
     }
   }
 };
+
+/// What a connected-components algorithm returns: a root id per vertex
+/// plus the run's counters. CcResult64 is the wide (LOGCCSR2)
+/// instantiation.
+template <typename V>
+struct BasicCcResult {
+  std::vector<V> labels;
+  RunStats stats;
+};
+
+using CcResult = BasicCcResult<graph::VertexId>;
+using CcResult64 = BasicCcResult<graph::VertexId64>;
 
 }  // namespace logcc::core

@@ -274,9 +274,4 @@ SfResult theorem2_sf(const graph::ArcsInput& in,
   return out;
 }
 
-SfResult theorem2_sf(const graph::EdgeList& el,
-                     const SpanningForestParams& params) {
-  return theorem2_sf(graph::ArcsInput::from_edges(el), params);
-}
-
 }  // namespace logcc::core

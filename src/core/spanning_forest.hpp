@@ -32,13 +32,11 @@ struct SfResult {
   RunStats stats;
 };
 
-/// ArcsInput is the real entry point (CSR-backed inputs ingest without an
-/// EdgeList); the EdgeList overload is a forwarding shim. forest_edges
-/// index the input's canonical edge order (EdgeList order, or the
-/// smaller-endpoint CSR order of graph::ArcsInput::for_each_edge).
+/// CSR-backed inputs ingest without an EdgeList; an EdgeList converts
+/// implicitly. forest_edges index the input's canonical edge order
+/// (EdgeList order, or the smaller-endpoint CSR order of
+/// graph::ArcsInput::for_each_edge).
 SfResult theorem2_sf(const graph::ArcsInput& in,
-                     const SpanningForestParams& params = {});
-SfResult theorem2_sf(const graph::EdgeList& el,
                      const SpanningForestParams& params = {});
 
 }  // namespace logcc::core

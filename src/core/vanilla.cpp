@@ -11,17 +11,19 @@ namespace logcc::core {
 
 namespace {
 
-// Shared phase body; `mark` is null for plain Vanilla and receives
+// Shared phase body; `mark` is a no-op for plain Vanilla and receives
 // (vertex, arc) for every winning MARK-EDGE in the SF variant.
-template <typename MarkFn>
-std::uint64_t run_phases(ParentForest& forest, std::vector<Arc>& arcs,
+template <typename V, typename MarkFn>
+std::uint64_t run_phases(BasicParentForest<V>& forest,
+                         std::vector<BasicArc<V>>& arcs,
                          const VanillaOptions& opt, RunStats& stats,
                          MarkFn&& mark) {
+  using OrigId = typename BasicArc<V>::OrigId;
   const std::uint64_t n = forest.size();
-  constexpr std::uint32_t kNoArc = static_cast<std::uint32_t>(-1);
+  constexpr OrigId kNoArc = static_cast<OrigId>(-1);
   std::vector<std::uint8_t> leader(n, 0);
   // v.e of §C: the arc index that realises v's link this phase.
-  std::vector<std::uint32_t> chosen(n, kNoArc);
+  std::vector<OrigId> chosen(n, kNoArc);
 
   std::uint64_t phases = 0;
   while (has_nonloop(arcs)) {
@@ -42,9 +44,9 @@ std::uint64_t run_phases(ParentForest& forest, std::vector<Arc>& arcs,
     // MARK-EDGE. The CRCW "arbitrary write wins" becomes a fetch-min on the
     // arc index: the lowest-indexed eligible arc wins deterministically.
     util::parallel_for(0, arcs.size(), [&](std::size_t i) {
-      const Arc& a = arcs[i];
+      const BasicArc<V>& a = arcs[i];
       if (a.u == a.v) return;
-      const std::uint32_t idx = static_cast<std::uint32_t>(i);
+      const OrigId idx = static_cast<OrigId>(i);
       // Both directions of the undirected arc.
       if (forest.is_root(a.u) && !leader[a.u] && leader[a.v])
         util::atomic_min(chosen[a.u], idx);
@@ -55,13 +57,13 @@ std::uint64_t run_phases(ParentForest& forest, std::vector<Arc>& arcs,
     // link (its endpoints need opposite coins), so `mark` targets are
     // distinct too.
     util::parallel_for(0, n, [&](std::size_t v) {
-      std::uint32_t i = chosen[v];
+      OrigId i = chosen[v];
       if (i == kNoArc) return;
       chosen[v] = kNoArc;
-      const Arc& a = arcs[i];
-      VertexId w = (a.u == static_cast<VertexId>(v)) ? a.v : a.u;
-      forest.set_parent(static_cast<VertexId>(v), w);
-      mark(static_cast<VertexId>(v), a);
+      const BasicArc<V>& a = arcs[i];
+      V w = (a.u == static_cast<V>(v)) ? a.v : a.u;
+      forest.set_parent(static_cast<V>(v), w);
+      mark(a);
     });
     // SHORTCUT (one step suffices: link trees have height <= 2).
     forest.shortcut();
@@ -75,26 +77,14 @@ std::uint64_t run_phases(ParentForest& forest, std::vector<Arc>& arcs,
   return phases;
 }
 
-}  // namespace
-
-std::uint64_t vanilla_phases(ParentForest& forest, std::vector<Arc>& arcs,
-                             const VanillaOptions& opt, RunStats& stats) {
-  return run_phases(forest, arcs, opt, stats, [](VertexId, const Arc&) {});
-}
-
-std::uint64_t vanilla_sf_phases(ParentForest& forest, std::vector<Arc>& arcs,
-                                std::vector<std::uint8_t>& in_forest,
-                                const VanillaOptions& opt, RunStats& stats) {
-  return run_phases(forest, arcs, opt, stats,
-                    [&](VertexId, const Arc& a) { in_forest[a.orig] = 1; });
-}
-
-VanillaCcResult vanilla_cc(const graph::ArcsInput& in, std::uint64_t seed) {
-  VanillaCcResult out;
+template <typename V>
+BasicCcResult<V> vanilla_cc_impl(const graph::BasicArcsInput<V>& in,
+                                 std::uint64_t seed) {
+  BasicCcResult<V> out;
   RoundArena round_arena;
   RoundArena::Scope arena_scope(round_arena);
-  ParentForest forest(in.num_vertices());
-  std::vector<Arc> arcs = arcs_from_input(in);
+  BasicParentForest<V> forest(in.num_vertices());
+  std::vector<BasicArc<V>> arcs = arcs_from_input(in);
   drop_loops(arcs);
   VanillaOptions opt;
   opt.seed = seed;
@@ -104,8 +94,33 @@ VanillaCcResult vanilla_cc(const graph::ArcsInput& in, std::uint64_t seed) {
   return out;
 }
 
-VanillaCcResult vanilla_cc(const graph::EdgeList& el, std::uint64_t seed) {
-  return vanilla_cc(graph::ArcsInput::from_edges(el), seed);
+}  // namespace
+
+template <typename V>
+std::uint64_t vanilla_phases(BasicParentForest<V>& forest,
+                             std::vector<BasicArc<V>>& arcs,
+                             const VanillaOptions& opt, RunStats& stats) {
+  return run_phases(forest, arcs, opt, stats, [](const BasicArc<V>&) {});
+}
+
+template std::uint64_t vanilla_phases(ParentForest&, std::vector<Arc>&,
+                                      const VanillaOptions&, RunStats&);
+template std::uint64_t vanilla_phases(ParentForest64&, std::vector<Arc64>&,
+                                      const VanillaOptions&, RunStats&);
+
+std::uint64_t vanilla_sf_phases(ParentForest& forest, std::vector<Arc>& arcs,
+                                std::vector<std::uint8_t>& in_forest,
+                                const VanillaOptions& opt, RunStats& stats) {
+  return run_phases(forest, arcs, opt, stats,
+                    [&](const Arc& a) { in_forest[a.orig] = 1; });
+}
+
+CcResult vanilla_cc(const graph::ArcsInput& in, std::uint64_t seed) {
+  return vanilla_cc_impl(in, seed);
+}
+
+CcResult64 vanilla_cc(const graph::ArcsInput64& in, std::uint64_t seed) {
+  return vanilla_cc_impl(in, seed);
 }
 
 VanillaSfResult vanilla_sf(const graph::ArcsInput& in, std::uint64_t seed) {
@@ -122,10 +137,6 @@ VanillaSfResult vanilla_sf(const graph::ArcsInput& in, std::uint64_t seed) {
   for (std::uint64_t i = 0; i < in_forest.size(); ++i)
     if (in_forest[i]) out.forest_edges.push_back(i);
   return out;
-}
-
-VanillaSfResult vanilla_sf(const graph::EdgeList& el, std::uint64_t seed) {
-  return vanilla_sf(graph::ArcsInput::from_edges(el), seed);
 }
 
 }  // namespace logcc::core

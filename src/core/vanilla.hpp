@@ -29,7 +29,13 @@ struct VanillaOptions {
 /// Runs Vanilla phases in place on (forest, arcs). Arcs must connect roots of
 /// flat trees (true initially and re-established every phase). Returns the
 /// number of phases executed; RunStats::phases/pram_steps are advanced.
-std::uint64_t vanilla_phases(ParentForest& forest, std::vector<Arc>& arcs,
+/// Coins are mix64(seed, phase, v) with `phase` counted from 1 in each call,
+/// so a caller running one phase per call must vary the seed per call.
+/// Instantiated for both index widths (vanilla.cpp): on ids that fit both,
+/// the two runs produce the same forest and arcs value for value.
+template <typename V = VertexId>
+std::uint64_t vanilla_phases(BasicParentForest<V>& forest,
+                             std::vector<BasicArc<V>>& arcs,
                              const VanillaOptions& opt, RunStats& stats);
 
 /// Vanilla-SF phases: additionally records, for every LINK, the original
@@ -38,16 +44,14 @@ std::uint64_t vanilla_sf_phases(ParentForest& forest, std::vector<Arc>& arcs,
                                 std::vector<std::uint8_t>& in_forest,
                                 const VanillaOptions& opt, RunStats& stats);
 
-struct VanillaCcResult {
-  std::vector<VertexId> labels;
-  RunStats stats;
-};
+using VanillaCcResult = CcResult;
 
-/// Standalone Vanilla connected components. The ArcsInput overload is the
-/// real entry point (CSR-backed inputs ingest without an EdgeList); the
-/// EdgeList overload is a forwarding shim.
-VanillaCcResult vanilla_cc(const graph::ArcsInput& in, std::uint64_t seed = 1);
-VanillaCcResult vanilla_cc(const graph::EdgeList& el, std::uint64_t seed = 1);
+/// Standalone Vanilla connected components, one overload per index width
+/// (an EdgeList converts implicitly to the narrow input). The wide run's
+/// labels and phase count equal the narrow run's on every graph that fits
+/// both widths.
+CcResult vanilla_cc(const graph::ArcsInput& in, std::uint64_t seed = 1);
+CcResult64 vanilla_cc(const graph::ArcsInput64& in, std::uint64_t seed = 1);
 
 struct VanillaSfResult {
   std::vector<std::uint64_t> forest_edges;  // canonical edge indices
@@ -56,6 +60,5 @@ struct VanillaSfResult {
 
 /// Standalone Vanilla-SF spanning forest.
 VanillaSfResult vanilla_sf(const graph::ArcsInput& in, std::uint64_t seed = 1);
-VanillaSfResult vanilla_sf(const graph::EdgeList& el, std::uint64_t seed = 1);
 
 }  // namespace logcc::core

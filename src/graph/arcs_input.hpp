@@ -119,8 +119,15 @@ class BasicArcsInput {
 
   BasicArcsInput() = default;
 
+  /// Implicit view of an edge list, so every ArcsInput entry point also
+  /// takes an EdgeList. Same as from_edges(el), under the same lifetime
+  /// rule: `el` must outlive every use of the input. Passing a temporary
+  /// list straight to an entry point is fine; keeping an input built from
+  /// one is not.
+  BasicArcsInput(const BasicEdgeList<V>& el) : n_(el.n), edges_(el.edges) {}
+
   static BasicArcsInput from_edges(const BasicEdgeList<V>& el) {
-    return from_edges(el.n, el.edges);
+    return BasicArcsInput(el);
   }
   static BasicArcsInput from_edges(std::uint64_t n,
                                    std::span<const BasicEdge<V>> edges) {

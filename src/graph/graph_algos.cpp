@@ -43,17 +43,31 @@ std::uint64_t count_components(const std::vector<VertexId>& labels) {
   return uniq.size();
 }
 
-std::vector<VertexId> canonical_labels(const std::vector<VertexId>& labels) {
+namespace {
+
+template <typename V>
+std::vector<V> canonical_labels_impl(const std::vector<V>& labels) {
   // Map each label to the min vertex id carrying it.
-  std::unordered_map<VertexId, VertexId> min_of;
+  std::unordered_map<V, V> min_of;
   min_of.reserve(labels.size());
   for (std::size_t v = 0; v < labels.size(); ++v) {
-    auto [it, inserted] = min_of.try_emplace(labels[v], static_cast<VertexId>(v));
-    if (!inserted) it->second = std::min(it->second, static_cast<VertexId>(v));
+    auto [it, inserted] = min_of.try_emplace(labels[v], static_cast<V>(v));
+    if (!inserted) it->second = std::min(it->second, static_cast<V>(v));
   }
-  std::vector<VertexId> out(labels.size());
+  std::vector<V> out(labels.size());
   for (std::size_t v = 0; v < labels.size(); ++v) out[v] = min_of[labels[v]];
   return out;
+}
+
+}  // namespace
+
+std::vector<VertexId> canonical_labels(const std::vector<VertexId>& labels) {
+  return canonical_labels_impl(labels);
+}
+
+std::vector<VertexId64> canonical_labels(
+    const std::vector<VertexId64>& labels) {
+  return canonical_labels_impl(labels);
 }
 
 bool same_partition(const std::vector<VertexId>& a,

@@ -33,8 +33,12 @@ bool same_partition(const std::vector<VertexId>& a,
                     const std::vector<VertexId>& b);
 
 /// Canonicalises a labeling to min-id-per-component form (for direct
-/// comparison against bfs_components).
+/// comparison against bfs_components) — execution- and algorithm-
+/// independent, the form ComponentIndex publishes. One overload per index
+/// width.
 std::vector<VertexId> canonical_labels(const std::vector<VertexId>& labels);
+std::vector<VertexId64> canonical_labels(
+    const std::vector<VertexId64>& labels);
 
 /// Eccentricity of `source` within its component (longest BFS distance).
 std::uint64_t eccentricity(const Graph& g, VertexId source);

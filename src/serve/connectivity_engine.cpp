@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <string>
 
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
@@ -216,7 +217,6 @@ void ConnectivityEngine::publish() {
         options_.sketch_options)));
     return;
   }
-  if (options_.publish_forest) index.attach_forest(parent_);
   publish_index(
       std::make_shared<const core::ComponentIndex>(std::move(index)));
 }
@@ -261,10 +261,19 @@ BatchResult ConnectivityEngine::apply_batch(std::span<const Edge> batch) {
   out.batch = log_.num_batches() + 1;
   out.edges = batch.size();
   // Validate at the boundary BEFORE anything touches disk: the WAL must
-  // never hold a record replay would reject.
+  // never hold a record replay would reject. A bad batch is the caller's
+  // error to handle, so it is rejected whole rather than aborting.
   const std::uint64_t n = num_vertices();
-  for (const Edge& e : batch)
-    LOGCC_CHECK_MSG(e.u < n && e.v < n, "apply_batch: endpoint out of range");
+  for (const Edge& e : batch) {
+    if (e.u < n && e.v < n) continue;
+    out.applied = false;
+    out.degraded = degraded();
+    out.durability = Status::invalid_argument(
+        "apply_batch: endpoint out of range (edge " + std::to_string(e.u) +
+        "-" + std::to_string(e.v) + ", n=" + std::to_string(n) + ")");
+    out.seconds = timer.seconds();
+    return out;
+  }
 
   if (durable_) {
     // Write-ahead: the record is on disk (per the fsync policy) before the
@@ -355,7 +364,6 @@ bool ConnectivityEngine::verify_and_rebuild() {
   // and the caller learns the incremental state was bad. Re-seed the
   // incremental forest from the rebuild so later batches continue from
   // the verified labels.
-  if (options_.publish_forest) r.index.attach_forest(r.index.labels());
   if (!ok) parent_ = r.index.labels();
   publish_index(
       std::make_shared<const core::ComponentIndex>(std::move(r.index)));

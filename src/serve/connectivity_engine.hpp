@@ -85,8 +85,6 @@ struct EngineOptions {
   /// Batch algorithm the rebuild path runs (any of the 9 entry points).
   Algorithm rebuild_algorithm = Algorithm::kFasterCC;
   std::uint64_t seed = 1;
-  /// Attach the (flat) parent forest to published snapshots.
-  bool publish_forest = false;
   /// Build a SketchedView next to every published snapshot: queries can
   /// opt into the approximate tier (approx component count / sizes from KBs
   /// of sketch state) via sketched(). Costs one extra O(n) parallel pass
@@ -109,18 +107,20 @@ struct BatchResult {
   double seconds = 0.0;      // merge + snapshot production (+ verify epoch)
   bool verify_ran = false;   // a rebuild/verify epoch ran after this batch
   bool verified = true;      // false iff it ran and disagreed
-  /// False iff the write-ahead append failed before the record landed: the
-  /// batch was NOT applied (memory and disk both exclude it — retry or drop
-  /// it, the engine state is unchanged). `durability` then carries the
-  /// reason. A record that reached the file but missed its fsync barrier
-  /// still applies (replay would see it; retrying would duplicate it) with
-  /// the error reported in `durability`.
+  /// False iff the batch was rejected (an endpoint >= n: kInvalidArgument)
+  /// or the write-ahead append failed before the record landed: the batch
+  /// was NOT applied (memory and disk both exclude it — retry or drop it,
+  /// the engine state is unchanged). `durability` then carries the reason.
+  /// A record that reached the file but missed its fsync barrier still
+  /// applies (replay would see it; retrying would duplicate it) with the
+  /// error reported in `durability`.
   bool applied = true;
   /// The engine was in (or entered) degraded mode during this batch.
   bool degraded = false;
-  /// First durability error of this call (WAL append/sync or checkpoint
-  /// write). OK when durability is off. A checkpoint failure leaves the
-  /// batch applied — recovery just replays a longer WAL suffix.
+  /// First error of this call: kInvalidArgument for a rejected batch, else
+  /// the first durability error (WAL append/sync or checkpoint write; OK
+  /// when durability is off). A checkpoint failure leaves the batch
+  /// applied — recovery just replays a longer WAL suffix.
   util::Status durability;
 };
 
@@ -162,11 +162,13 @@ class ConnectivityEngine {
 
   // --- writer side (one thread at a time) --------------------------------
   /// Inserts a batch of edges and publishes the next snapshot epoch.
-  /// Endpoints must be < n (LOGCC_CHECK). Self-loops and duplicates are
-  /// tolerated. Runs a rebuild/verify epoch when the cadence says so.
-  /// Durable engines append the batch to the WAL first; if that fails the
-  /// batch is not applied (result.applied == false) and the engine state
-  /// is unchanged.
+  /// Self-loops and duplicates are tolerated. A batch with any endpoint
+  /// >= n is rejected whole before the WAL is touched (result.applied ==
+  /// false, result.durability is kInvalidArgument; epoch, batch count and
+  /// WAL offset are unchanged). Runs a rebuild/verify epoch when the
+  /// cadence says so. Durable engines append the batch to the WAL first;
+  /// if that fails the batch is not applied (result.applied == false) and
+  /// the engine state is unchanged.
   BatchResult apply_batch(std::span<const graph::Edge> batch);
   /// Full recompute through connected_components() on the accumulated edge
   /// set; cross-checks the incremental index (exact labels + sizes + count)

@@ -18,11 +18,10 @@
 //            best for streaming kernels. Degenerates to compact on
 //            single-node machines.
 //
-// Pinning applies to pool worker threads (at spawn) and OpenMP region
-// threads (once per thread); the caller's thread — lane 0 — is never
-// pinned: the driver may have its own placement policy, and stealing its
-// affinity would outlive the dispatch. Non-Linux builds and unknown
-// LOGCC_PIN values are a diagnosed no-op.
+// Pinning applies to pool worker threads (at spawn); the caller's thread —
+// lane 0 — is never pinned: the calling program may have its own placement
+// policy, and stealing its affinity would outlive the dispatch. Non-Linux
+// builds and unknown LOGCC_PIN values are a diagnosed no-op.
 #pragma once
 
 #include <cstddef>

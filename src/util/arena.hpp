@@ -21,14 +21,13 @@
 // (drivers install a core::RoundArena for the whole run; see
 // core/round_arena.hpp for the ownership rule). Every arena is single-owner
 // by design: only one thread ever allocates from a given arena, so it needs
-// no synchronization. Worker threads get their own: the parallel runtimes
-// (pool worker_main, the OpenMP region in util/parallel.cpp) wrap each
-// lane's work in a WorkerArenaScope, which installs a thread_local per-lane
-// arena when no arena is active. The lane arena is first-touched, grown,
-// and reused entirely by its own worker — in-bucket sort staging and
-// group-by counting grids stay in lane-local (first-touch NUMA-local)
-// memory and stop heap-allocating once every lane reached its high-water
-// size.
+// no synchronization. Worker threads get their own: the pool's worker_main
+// wraps each lane's work in a WorkerArenaScope, which installs a
+// thread_local per-lane arena when no arena is active. The lane arena is
+// first-touched, grown, and reused entirely by its own worker — in-bucket
+// sort staging and group-by counting grids stay in lane-local (first-touch
+// NUMA-local) memory and stop heap-allocating once every lane reached its
+// high-water size.
 //
 // Arena memory is raw storage: ScratchBuffer places only trivially
 // destructible types there (anything else silently uses the heap path), and

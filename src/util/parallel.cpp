@@ -8,27 +8,7 @@
 #include <cstring>
 #include <thread>
 
-#include "util/affinity.hpp"
-#include "util/arena.hpp"
 #include "util/thread_pool.hpp"
-
-#ifdef LOGCC_HAVE_OPENMP
-#include <omp.h>
-#endif
-
-// Under ThreadSanitizer force the pool backend: GCC's libgomp is not
-// TSan-instrumented, so TSan cannot see the happens-before edges of the
-// OpenMP fork/join barriers and reports false races between accesses in
-// *different*, properly-synchronized parallel regions. The pool's
-// mutex/condvar/atomic edges are fully modeled, so the TSan job race-checks
-// exactly the library's own kernels.
-#if defined(__SANITIZE_THREAD__)
-#define LOGCC_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define LOGCC_TSAN_BUILD 1
-#endif
-#endif
 
 namespace logcc::util {
 
@@ -45,18 +25,11 @@ int env_threads() {
 ParallelBackend default_backend() {
   if (const char* env = std::getenv("LOGCC_BACKEND")) {
     if (std::strcmp(env, "serial") == 0) return ParallelBackend::kSerial;
-    if (std::strcmp(env, "omp") == 0) {
-#if defined(LOGCC_HAVE_OPENMP) && !defined(LOGCC_TSAN_BUILD)
-      return ParallelBackend::kOpenMP;
-#else
-      return ParallelBackend::kPool;
-#endif
-    }
     if (std::strcmp(env, "pool") != 0) {
       // A typo'd backend must not silently measure the wrong thing.
       std::fprintf(stderr,
                    "logcc: unknown LOGCC_BACKEND '%s' "
-                   "(want pool|omp|serial); using pool\n",
+                   "(want pool|serial); using pool\n",
                    env);
     }
   }
@@ -64,8 +37,8 @@ ParallelBackend default_backend() {
 }
 
 std::atomic<ParallelBackend> g_backend{default_backend()};
-// Thread cap for the serial-unaware paths (OpenMP tracks its own; the pool
-// tracks lanes). Kept so backend switches preserve the requested width.
+// Requested lane count. Kept here (not only in the pool) so backend switches
+// preserve the requested width.
 std::atomic<int> g_threads{env_threads()};
 
 constexpr std::size_t kDefaultGrain = 1024;
@@ -113,16 +86,12 @@ ParallelBackend parallel_backend() {
 }
 
 void set_parallel_backend(ParallelBackend backend) {
-#if !defined(LOGCC_HAVE_OPENMP) || defined(LOGCC_TSAN_BUILD)
-  if (backend == ParallelBackend::kOpenMP) backend = ParallelBackend::kPool;
-#endif
   g_backend.store(backend, std::memory_order_relaxed);
 }
 
 const char* parallel_backend_name() {
   switch (parallel_backend()) {
     case ParallelBackend::kSerial: return "serial";
-    case ParallelBackend::kOpenMP: return "omp";
     case ParallelBackend::kPool: return "pool";
   }
   return "?";
@@ -132,12 +101,6 @@ int hardware_parallelism() {
   switch (parallel_backend()) {
     case ParallelBackend::kSerial:
       return 1;
-    case ParallelBackend::kOpenMP:
-#ifdef LOGCC_HAVE_OPENMP
-      return omp_get_max_threads();
-#else
-      return 1;
-#endif
     case ParallelBackend::kPool:
       return g_threads.load(std::memory_order_relaxed);
   }
@@ -147,9 +110,6 @@ int hardware_parallelism() {
 void set_parallelism(int threads) {
   if (threads < 1) return;
   g_threads.store(threads, std::memory_order_relaxed);
-#ifdef LOGCC_HAVE_OPENMP
-  omp_set_num_threads(threads);
-#endif
   ThreadPool::instance().set_lanes(threads);
 }
 
@@ -176,33 +136,6 @@ void parallel_run_impl(std::size_t begin, std::size_t end, std::size_t grain,
     case ParallelBackend::kSerial:
       chunk(ctx, begin, end);
       return;
-    case ParallelBackend::kOpenMP: {
-#ifdef LOGCC_HAVE_OPENMP
-      const std::size_t n = end - begin;
-      const std::size_t g = std::max<std::size_t>(1, grain);
-      const std::int64_t chunks =
-          static_cast<std::int64_t>((n + g - 1) / g);
-      // Explicit region (not `parallel for`) so each OMP thread gets a
-      // lane-local scratch arena around its static chunk share — same
-      // per-lane memory discipline as the pool backend. The master thread's
-      // WorkerArenaScope no-ops (its RoundArena is already active), and
-      // optional LOGCC_PIN placement applies once per region thread.
-#pragma omp parallel
-      {
-        pin_current_thread(
-            static_cast<std::size_t>(omp_get_thread_num()));
-        WorkerArenaScope arena;
-#pragma omp for schedule(static)
-        for (std::int64_t c = 0; c < chunks; ++c) {
-          const std::size_t lo = begin + static_cast<std::size_t>(c) * g;
-          chunk(ctx, lo, std::min(end, lo + g));
-        }
-      }
-#else
-      chunk(ctx, begin, end);
-#endif
-      return;
-    }
     case ParallelBackend::kPool: {
       ThreadPool& pool = ThreadPool::instance();
       pool.set_lanes(g_threads.load(std::memory_order_relaxed));

@@ -1,25 +1,18 @@
 // Data-parallel loop primitive over interchangeable backends.
 //
 // One PRAM step over k processors maps to `parallel_for(0, k, fn)`. The
-// dispatch goes through one of three backends of the same executor API:
+// dispatch goes through one of two backends of the same executor API:
 //
 //   kPool   — the persistent parking worker pool (util/thread_pool.hpp).
 //             The default: no per-dispatch thread creation or fork/join,
 //             chunked work distribution with a calibrated grain, adaptive
 //             spin before parking. Fully instrumented under TSan (plain
-//             std::thread/std::mutex synchronization).
-//   kOpenMP — `#pragma omp parallel for` over the same chunks, when built
-//             with LOGCC_HAVE_OPENMP. Kept for comparison benches and as an
-//             escape hatch; selecting it without OpenMP support falls back
-//             to the pool.
+//             std::thread/std::mutex synchronization), so the TSan CI job
+//             race-checks exactly this library's kernels.
 //   kSerial — inline serial loop (also what sub-grain ranges always get).
 //
-// Selection: LOGCC_BACKEND=pool|omp|serial in the environment, or
-// set_parallel_backend() from code. Under ThreadSanitizer the default is
-// forced to the pool — GCC's libgomp is not TSan-instrumented, so OpenMP
-// barriers would produce false races; the pool's pthread edges are fully
-// modeled, which makes the TSan CI job race-check exactly this library's
-// kernels.
+// Selection: LOGCC_BACKEND=pool|serial in the environment, or
+// set_parallel_backend() from code.
 //
 // The backend choice NEVER affects results. Algorithms never depend on the
 // execution order or placement inside a step: all cross-processor
@@ -27,7 +20,7 @@
 // pram/machine.hpp) or through commutative atomics-free patterns
 // (idempotent writes / fetch-min resolution), and the blocked primitives in
 // scan.hpp fix their block structure as a function of input size alone.
-// Every invariance suite runs bit-identically under all three backends.
+// Every invariance suite runs bit-identically under both backends.
 #pragma once
 
 #include <cstddef>
@@ -37,20 +30,18 @@ namespace logcc::util {
 
 enum class ParallelBackend {
   kSerial,
-  kOpenMP,
   kPool,
 };
 
-/// The active backend (resolved: kOpenMP is only ever reported when the
-/// build has OpenMP support).
+/// The active backend.
 ParallelBackend parallel_backend();
 
-/// Switches the dispatch backend. kOpenMP without OpenMP support selects
-/// the pool instead. Benches and tests use this to compare backends; the
-/// LOGCC_BACKEND environment variable sets the process default.
+/// Switches the dispatch backend. Benches and tests use this to compare
+/// backends; the LOGCC_BACKEND environment variable sets the process
+/// default.
 void set_parallel_backend(ParallelBackend backend);
 
-/// "pool" | "omp" | "serial" — for bench.json provenance records.
+/// "pool" | "serial" — for bench.json provenance records.
 const char* parallel_backend_name();
 
 /// Number of worker threads parallel_for may use under the active backend
@@ -59,7 +50,8 @@ int hardware_parallelism();
 
 /// Caps the number of worker threads (no-op for kSerial). Benches and the
 /// thread-invariance tests use this to pin the thread count from code; the
-/// initial value honours OMP_NUM_THREADS for every backend.
+/// initial value honours OMP_NUM_THREADS (the historical name, kept because
+/// tests and CI sweep on it).
 void set_parallelism(int threads);
 
 /// Grain below which parallel_for always runs serially.

@@ -13,7 +13,7 @@
 //     eight bytes are constant) are skipped outright;
 //   - the remaining passes scatter between the caller's buffer and a
 //     same-size scratch buffer (ScratchBuffer: round-arena backed on the
-//     dispatching thread, lane-arena backed on pool/OMP workers — no heap
+//     dispatching thread, lane-arena backed on pool workers — no heap
 //     in steady state either way).
 //
 // The sort is deterministic and stable by construction: output depends

@@ -7,7 +7,7 @@
 // determinism is the contract the algorithm layer builds on — a PRAM step
 // implemented with these primitives produces bit-identical output under
 // OMP_NUM_THREADS=1 and =N (see tests/test_scan.cpp) and under every
-// dispatch backend (pool / OpenMP / serial, see parallel.hpp).
+// dispatch backend (pool / serial, see parallel.hpp).
 //
 // Below `kSerialGrain` elements every primitive degrades to the obvious
 // serial loop, so callers never pay threading overhead on small inputs.

@@ -51,7 +51,6 @@ TEST(Api, ResultIndexAnswersPointQueries) {
     EXPECT_EQ(ix.sizes()[0], 5u) << to_string(alg);
     EXPECT_EQ(ix.sizes()[5], 4u) << to_string(alg);
     EXPECT_EQ(ix.sizes()[1], 0u) << to_string(alg);  // non-root slot
-    EXPECT_FALSE(ix.has_forest()) << to_string(alg);
   }
 }
 
@@ -94,9 +93,9 @@ TEST(Api, OptionsSeedThreadsThrough) {
 }
 
 TEST(Api, LegacyEdgeListShimsStillForward) {
-  // The EdgeList overloads are legacy forwarding shims (see
-  // core/connectivity.hpp); this test pins them so downstream code keeps
-  // compiling and agreeing with the ArcsInput front door.
+  // EdgeList callers reach the ArcsInput entry points through the implicit
+  // ArcsInput(const EdgeList&) conversion; this test pins that so
+  // downstream code keeps compiling and agreeing with the front door.
   auto el = graph::make_gnm(120, 360, 11);
   auto legacy = connected_components(el);
   auto front = connected_components(graph::ArcsInput::from_edges(el));

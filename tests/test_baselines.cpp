@@ -14,7 +14,7 @@ namespace {
 
 using logcc::testing::matches_oracle;
 
-using CcFn = BaselineResult (*)(const graph::EdgeList&);
+using CcFn = BaselineResult (*)(const graph::ArcsInput&);
 
 struct Named {
   const char* name;

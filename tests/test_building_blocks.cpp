@@ -14,7 +14,7 @@ TEST(Arcs, FromEdgesKeepsOriginalIndex) {
   el.n = 4;
   el.add(0, 1);
   el.add(2, 3);
-  auto arcs = arcs_from_edges(el);
+  auto arcs = arcs_from_input(el);
   ASSERT_EQ(arcs.size(), 2u);
   EXPECT_EQ(arcs[0].orig, 0u);
   EXPECT_EQ(arcs[1].orig, 1u);
@@ -25,7 +25,7 @@ TEST(Alter, ReplacesEndpointsByParents) {
   el.n = 4;
   el.add(0, 1);
   el.add(1, 3);
-  auto arcs = arcs_from_edges(el);
+  auto arcs = arcs_from_input(el);
   ParentForest f(4);
   f.set_parent(1, 0);
   f.set_parent(3, 2);
@@ -63,7 +63,7 @@ TEST(HasNonloop, Detects) {
 TEST(DeterministicContract, SolvesZoo) {
   for (const auto& [name, el] : logcc::testing::small_zoo()) {
     ParentForest f(el.n);
-    auto arcs = arcs_from_edges(el);
+    auto arcs = arcs_from_input(el);
     RunStats stats;
     deterministic_contract(f, arcs, stats);
     f.flatten();
@@ -74,7 +74,7 @@ TEST(DeterministicContract, SolvesZoo) {
 TEST(DeterministicContract, LogRounds) {
   auto el = graph::make_path(1024);
   ParentForest f(el.n);
-  auto arcs = arcs_from_edges(el);
+  auto arcs = arcs_from_input(el);
   RunStats stats;
   std::uint64_t rounds = deterministic_contract(f, arcs, stats);
   EXPECT_LE(rounds, 2 * 10 + 4u);  // ~2 log2(1024)
@@ -85,7 +85,7 @@ TEST(DeterministicContract, ResumesFromPartialForest) {
   auto el = graph::make_path(40);
   ParentForest f(el.n);
   for (VertexId v = 1; v < 20; ++v) f.set_parent(v, 0);
-  auto arcs = arcs_from_edges(el);
+  auto arcs = arcs_from_input(el);
   RunStats stats;
   deterministic_contract(f, arcs, stats);
   f.flatten();
@@ -95,7 +95,7 @@ TEST(DeterministicContract, ResumesFromPartialForest) {
 TEST(DeterministicContractSf, ProducesValidForest) {
   for (const auto& [name, el] : logcc::testing::small_zoo()) {
     ParentForest f(el.n);
-    auto arcs = arcs_from_edges(el);
+    auto arcs = arcs_from_input(el);
     std::vector<std::uint8_t> in_forest(el.edges.size(), 0);
     RunStats stats;
     deterministic_contract_sf(f, arcs, in_forest, stats);

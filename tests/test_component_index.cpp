@@ -1,6 +1,6 @@
 // ComponentIndex: the canonical result-snapshot type (PR 7). Pins the
 // invariants every producer relies on — min-id canonical labels, root-
-// indexed sizes, exact component count, optional forest consistency — and
+// indexed sizes, exact component count — and
 // the snapshot-immutability contract the serving layer's epoch swap is
 // built on.
 #include "core/component_index.hpp"
@@ -94,29 +94,12 @@ TEST(ComponentIndex, EmptyAndSingleton) {
   EXPECT_EQ(one.component_size(0), 1u);
 }
 
-TEST(ComponentIndex, EqualityCoversSizesAndCountButNotForest) {
+TEST(ComponentIndex, EqualityCoversLabelsSizesAndCount) {
   ComponentIndex a = ComponentIndex::from_labels({0, 0, 2, 2});
   ComponentIndex b = ComponentIndex::from_labels({0, 0, 2, 2});
   EXPECT_TRUE(a == b);
-  // A forest is diagnostic metadata: attaching one must not break equality.
-  b.attach_forest({0, 0, 2, 2});
-  EXPECT_TRUE(b.has_forest());
-  EXPECT_TRUE(a == b);
   ComponentIndex c = ComponentIndex::from_labels({0, 0, 0, 3});
   EXPECT_FALSE(a == c);
-}
-
-TEST(ComponentIndex, AttachForestAcceptsDeepChains) {
-  // 0 <- 1 <- 2 <- 3: multi-hop parent chain whose root matches the label.
-  ComponentIndex ix = ComponentIndex::from_labels({0, 0, 0, 0});
-  ix.attach_forest({0, 0, 1, 2});
-  ASSERT_TRUE(ix.has_forest());
-  EXPECT_EQ(ix.forest(), (std::vector<VertexId>{0, 0, 1, 2}));
-}
-
-TEST(ComponentIndexDeath, AttachForestRejectsWrongRoots) {
-  ComponentIndex ix = ComponentIndex::from_labels({0, 0, 2, 2});
-  EXPECT_DEATH(ix.attach_forest({0, 0, 0, 0}), "roots disagree");
 }
 
 TEST(ComponentIndex, SnapshotImmutabilityAcrossEpochSwap) {

@@ -14,7 +14,7 @@
 // contract the CSR path is designed around: running any algorithm on a
 // CSR-backed ArcsInput produces *bit-identical labels* to running the
 // EdgeList path on that CSR's canonical edge order (edge_list_from_csr) —
-// i.e. arcs_from_input is exactly arcs_from_edges-after-materialization,
+// i.e. arcs_from_input(csr) is exactly arcs_from_input(edge_list_from_csr),
 // so zero-copy is a pure I/O optimization, never a semantic fork. A final
 // case drives the real mmap loader (write_binary_csr -> load_dataset_zero_
 // copy) to show file-backed views behave like in-memory ones.
@@ -28,7 +28,6 @@
 #include "core/connectivity.hpp"
 #include "core/faster_cc.hpp"
 #include "core/vanilla.hpp"
-#include "core/wide_cc.hpp"
 #include "graph/arcs_input.hpp"
 #include "graph/binary_io.hpp"
 #include "graph/generators.hpp"
@@ -193,7 +192,7 @@ TEST_F(DifferentialCc, MmapLoadedFileMatchesInMemoryCsrBitForBit) {
 }
 
 TEST_F(DifferentialCc, WidePathIsBitIdenticalToNarrowPathAcrossCorpus) {
-  // The 64-bit execution path (core/wide_cc) promises more than partition
+  // The 64-bit instantiation of the core promises more than partition
   // agreement: on every graph that fits both widths, wide labels equal the
   // narrow labels VALUE FOR VALUE — same coins, same tie-breaks, same dedup
   // survivor order. A thinned corpus keeps every family and the random
@@ -210,8 +209,9 @@ TEST_F(DifferentialCc, WidePathIsBitIdenticalToNarrowPathAcrossCorpus) {
     const graph::ArcsInput narrow_in = graph::ArcsInput::from_edges(c.el);
     const std::uint64_t seed = 1 + util::mix64(0x51DE, i, 0) % 97;
 
-    // Vanilla: the port keeps identical coins and MARK-EDGE tie-breaks.
-    const auto wv = core::wide_vanilla_cc(wide_in, seed);
+    // Vanilla: one phase loop at both widths — identical coins and
+    // MARK-EDGE tie-breaks.
+    const auto wv = core::vanilla_cc(wide_in, seed);
     const auto nv = core::vanilla_cc(narrow_in, seed);
     ASSERT_EQ(wv.labels.size(), nv.labels.size()) << c.name;
     for (std::size_t v = 0; v < nv.labels.size(); ++v)
@@ -220,7 +220,7 @@ TEST_F(DifferentialCc, WidePathIsBitIdenticalToNarrowPathAcrossCorpus) {
     ASSERT_EQ(wv.stats.phases, nv.stats.phases) << c.name;
 
     // Union-find: canonical min-id labels on both widths.
-    const auto wu = core::wide_union_find_cc(wide_in);
+    const auto wu = baselines::union_find_cc(wide_in);
     const auto nu = baselines::union_find_cc(c.el);
     for (std::size_t v = 0; v < nu.labels.size(); ++v)
       ASSERT_EQ(wu.labels[v], static_cast<graph::VertexId64>(nu.labels[v]))
@@ -228,11 +228,9 @@ TEST_F(DifferentialCc, WidePathIsBitIdenticalToNarrowPathAcrossCorpus) {
 
     // faster-cc: the bridge's delegate branch runs the narrow core, so
     // labels are bit-identical by construction — pin it anyway.
-    core::WideFasterOptions wopt;
-    wopt.seed = seed;
-    const auto wf = core::wide_faster_cc(wide_in, wopt);
     core::FasterCcParams params;
     params.seed = seed;
+    const auto wf = core::faster_cc(wide_in, params);
     const auto nf = core::faster_cc(narrow_in, params);
     for (std::size_t v = 0; v < nf.labels.size(); ++v)
       ASSERT_EQ(wf.labels[v], static_cast<graph::VertexId64>(nf.labels[v]))
@@ -241,13 +239,9 @@ TEST_F(DifferentialCc, WidePathIsBitIdenticalToNarrowPathAcrossCorpus) {
     // Forced contract-then-delegate branch (narrow_threshold below the
     // input size): exact labels are allowed to differ, the partition and
     // canonical form are not.
-    core::WideFasterOptions bridge;
-    bridge.seed = seed;
-    bridge.narrow_threshold = 4;
-    auto wb = core::wide_faster_cc(wide_in, bridge);
-    core::wide_canonicalize_labels(wb.labels);
-    auto canon_oracle = wu.labels;  // already canonical min-id
-    ASSERT_EQ(wb.labels, canon_oracle)
+    const auto wb = core::faster_cc(wide_in, params, /*narrow_threshold=*/4);
+    const auto& canon_oracle = wu.labels;  // already canonical min-id
+    ASSERT_EQ(graph::canonical_labels(wb.labels), canon_oracle)
         << c.name << " bridge path broke the partition";
     ++covered;
   }
@@ -271,8 +265,8 @@ TEST_F(DifferentialCc, WideCsrPathMatchesWideEdgePathBitForBit) {
     const graph::ArcsInput64 canon_in =
         graph::ArcsInput64::from_edges(canon);
     const std::uint64_t seed = 42 + i;
-    const auto a = core::wide_vanilla_cc(csr_in, seed);
-    const auto b = core::wide_vanilla_cc(canon_in, seed);
+    const auto a = core::vanilla_cc(csr_in, seed);
+    const auto b = core::vanilla_cc(canon_in, seed);
     ASSERT_EQ(a.labels, b.labels)
         << c.name << ": wide CSR labels diverge from the canonical run";
   }

@@ -18,7 +18,7 @@ namespace {
 /// Expands a whole input graph with generous parameters (everything ongoing).
 struct Harness {
   explicit Harness(const graph::EdgeList& el, ExpandParams p, RunStats* stats)
-      : arcs(arcs_from_edges(el)), params(p) {
+      : arcs(arcs_from_input(el)), params(p) {
     drop_loops(arcs);
     for (std::uint64_t v = 0; v < el.n; ++v)
       ongoing.push_back(static_cast<VertexId>(v));
@@ -173,7 +173,7 @@ TEST(Expand, HoistedScratchReusableAcrossEngines) {
   ExpandParams p = generous(el.n);
   ExpandScratch scratch;
   RunStats stats;
-  auto arcs = arcs_from_edges(el);
+  auto arcs = arcs_from_input(el);
   drop_loops(arcs);
   std::vector<VertexId> evens, odds;
   for (VertexId v = 0; v < el.n; v += 2) evens.push_back(v);

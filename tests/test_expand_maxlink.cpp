@@ -15,7 +15,7 @@ namespace {
 
 struct MlHarness {
   explicit MlHarness(const graph::EdgeList& el, std::uint64_t seed = 7) {
-    arcs = arcs_from_edges(el);
+    arcs = arcs_from_input(el);
     exists.assign(el.n, 1);
     policy = ParamPolicy::practical(el.n, std::max<std::uint64_t>(el.edges.size(), 1));
     engine = std::make_unique<ExpandMaxlink>(el.n, arcs, exists, policy, seed,
@@ -116,7 +116,7 @@ TEST(ExpandMaxlink, BudgetsFollowLevels) {
 
 TEST(ExpandMaxlink, GhostVerticesUntouched) {
   auto el = graph::make_path(10);
-  std::vector<Arc> arcs = arcs_from_edges(el);
+  std::vector<Arc> arcs = arcs_from_input(el);
   std::vector<std::uint8_t> exists(el.n, 1);
   exists[9] = 0;  // pretend 9 is a compaction ghost (and drop its arc)
   arcs.pop_back();

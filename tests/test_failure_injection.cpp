@@ -61,7 +61,7 @@ TEST(FailureInjection, ExpandWithCapacityTwoTables) {
   p.max_rounds = 8;
   std::vector<graph::VertexId> ongoing;
   for (graph::VertexId v = 0; v < el.n; ++v) ongoing.push_back(v);
-  auto arcs = core::arcs_from_edges(el);
+  auto arcs = core::arcs_from_input(el);
   core::RunStats stats;
   core::ExpandEngine engine(el.n, ongoing, arcs, p, stats);
   engine.run();

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "core/wide_cc.hpp"
+#include "baselines/union_find.hpp"
 #include "graph/binary_io.hpp"
 #include "graph/generators.hpp"
 #include "mpc/sharded.hpp"
@@ -21,7 +21,7 @@ std::vector<graph::VertexId64> oracle_labels(const graph::EdgeList& el) {
   std::vector<graph::Edge64> wide(el.edges.size());
   for (std::size_t i = 0; i < wide.size(); ++i)
     wide[i] = {el.edges[i].u, el.edges[i].v};
-  return core::wide_union_find_cc(graph::ArcsInput64::from_edges(el.n, wide))
+  return baselines::union_find_cc(graph::ArcsInput64::from_edges(el.n, wide))
       .labels;
 }
 

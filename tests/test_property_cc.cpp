@@ -104,7 +104,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ArcsInput must produce labels bit-identical to the EdgeList path on the
 // same canonical edge order, under every thread count (1/2/4/8). This is
 // the zero-copy contract — arcs_from_input(csr) is elementwise
-// arcs_from_edges(edge_list_from_csr(csr)), so nothing downstream can
+// arcs_from_input(edge_list_from_csr(csr)), so nothing downstream can
 // diverge — pinned here as a label-fingerprint equality per thread count
 // plus exact equality across thread counts.
 class CsrNativeBitIdentity

@@ -145,7 +145,7 @@ TEST_F(BackendInvariance, VanillaSteadyStatePhasesAllocateNothing) {
     RoundArena arena;
     RoundArena::Scope scope(arena);
     ParentForest forest(el.n);
-    std::vector<Arc> arcs = arcs_from_edges(el);
+    std::vector<Arc> arcs = arcs_from_input(el);
     drop_loops(arcs);
     VanillaOptions opt;
     opt.seed = 7;
@@ -189,7 +189,7 @@ TEST_F(BackendInvariance, ExpandSlabFillsAreAllocationFreeWhenWarm) {
   util::set_parallelism(4);
   const std::uint64_t n = 1 << 14;
   auto el = graph::make_gnm(n, 3 * n, 9);
-  auto arcs = arcs_from_edges(el);
+  auto arcs = arcs_from_input(el);
   drop_loops(arcs);
   std::vector<graph::VertexId> ongoing(n);
   for (graph::VertexId v = 0; v < n; ++v) ongoing[v] = v;

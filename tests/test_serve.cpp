@@ -3,7 +3,7 @@
 // The load-bearing claim: after EVERY batch, the engine's published
 // ComponentIndex is *bit-identical* (labels, sizes, count) to a full
 // batch-algorithm recompute over the accumulated edges — for every
-// backend (pool / omp / serial) and thread count (1/2/4/8). Both sides
+// backend (pool / serial) and thread count (1/2/4/8). Both sides
 // are canonical min-id snapshots, so the comparison is exact equality,
 // not merely same-partition.
 //
@@ -15,7 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdio>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -110,10 +115,47 @@ TEST(Serve, ToleratesSelfLoopsDuplicatesAndEmptyBatches) {
               recompute(4, engine.edges().edges()));
 }
 
-TEST(ServeDeath, RejectsOutOfRangeEndpoints) {
+/// Applies one good batch, then one with an out-of-range endpoint: the bad
+/// batch must come back rejected with kInvalidArgument and leave the
+/// epoch, the batch count, the WAL offset and the snapshot unchanged.
+void expect_rejects_out_of_range(ConnectivityEngine& engine) {
+  ASSERT_TRUE(engine.apply_batch(std::vector<Edge>{{0, 1}}).applied);
+  const std::uint64_t epoch = engine.epoch();
+  const std::uint64_t batches = engine.num_batches();
+  const std::uint64_t wal_offset = engine.wal_offset();
+  const auto before = engine.snapshot();
+  const auto r = engine.apply_batch(std::vector<Edge>{{1, 2}, {0, 3}});
+  EXPECT_FALSE(r.applied);
+  EXPECT_EQ(r.durability.code(), util::StatusCode::kInvalidArgument)
+      << r.durability.to_string();
+  EXPECT_EQ(engine.epoch(), epoch);
+  EXPECT_EQ(engine.num_batches(), batches);
+  EXPECT_EQ(engine.wal_offset(), wal_offset);
+  EXPECT_TRUE(*engine.snapshot() == *before);
+  EXPECT_FALSE(engine.connected(1, 2));  // the valid edge was not applied
+}
+
+TEST(Serve, RejectsOutOfRangeEndpoints) {
   ConnectivityEngine engine(3);
-  EXPECT_DEATH(engine.apply_batch(std::vector<Edge>{{0, 3}}),
-               "endpoint out of range");
+  expect_rejects_out_of_range(engine);
+}
+
+TEST(Serve, DurableEngineRejectsOutOfRangeEndpointsBeforeTheWal) {
+  const std::string dir = ::testing::TempDir() + "logcc_serve_reject";
+  auto clean = [&] {
+    std::remove((dir + "/edges.wal").c_str());
+    std::remove((dir + "/index.ckpt").c_str());
+    ::rmdir(dir.c_str());
+  };
+  clean();  // a crashed earlier run must not seed this one
+  EngineOptions opts;
+  opts.durability.dir = dir;
+  std::unique_ptr<ConnectivityEngine> engine;
+  ASSERT_TRUE(ConnectivityEngine::recover(dir, 3, opts, &engine).is_ok());
+  ASSERT_GT(engine->wal_offset(), 0u);  // the WAL header is on disk
+  expect_rejects_out_of_range(*engine);
+  engine.reset();
+  clean();
 }
 
 TEST(Serve, EpochAdvancesPerBatchAndOldSnapshotsSurvive) {
@@ -160,18 +202,6 @@ TEST(Serve, VerifyAndRebuildAgreesForEveryRebuildAlgorithm) {
   }
 }
 
-TEST(Serve, PublishForestAttachesFlatForest) {
-  EngineOptions opts;
-  opts.publish_forest = true;
-  ConnectivityEngine engine(5, opts);
-  engine.apply_batch(std::vector<Edge>{{0, 1}, {3, 4}});
-  auto s = engine.snapshot();
-  ASSERT_TRUE(s->has_forest());
-  EXPECT_EQ(s->forest(), s->labels());  // the engine's forest is flat
-  engine.verify_and_rebuild();
-  EXPECT_TRUE(engine.snapshot()->has_forest());
-}
-
 // The determinism contract, extended to the serving layer: for a given
 // batch sequence, every (backend, thread count) pair must publish
 // bit-identical snapshots after every batch — and each of them must equal
@@ -198,8 +228,7 @@ TEST_F(BackendInvariance, ServeSnapshotsBitIdenticalAcrossBackendsAndThreads) {
   }
 
   for (util::ParallelBackend backend :
-       {util::ParallelBackend::kPool, util::ParallelBackend::kOpenMP,
-        util::ParallelBackend::kSerial}) {
+       {util::ParallelBackend::kPool, util::ParallelBackend::kSerial}) {
     util::set_parallel_backend(backend);
     for (int threads : {1, 2, 4, 8}) {
       util::set_parallelism(threads);

@@ -239,9 +239,8 @@ class SketchBackendInvariance : public BackendInvariance {};
 TEST_F(SketchBackendInvariance, HllAddParallelMatchesSerialEverywhere) {
   const auto keys = make_keys(20000, 71);
   const auto reference = hll_of(keys, 12, 5);
-  for (auto backend : {util::ParallelBackend::kPool,
-                       util::ParallelBackend::kOpenMP,
-                       util::ParallelBackend::kSerial}) {
+  for (auto backend :
+       {util::ParallelBackend::kPool, util::ParallelBackend::kSerial}) {
     util::set_parallel_backend(backend);
     for (int threads : {1, 2, 4, 8}) {
       util::set_parallelism(threads);
@@ -257,9 +256,8 @@ TEST_F(SketchBackendInvariance, HllAddParallelMatchesSerialEverywhere) {
 TEST_F(SketchBackendInvariance, CmsAddParallelMatchesSerialEverywhere) {
   const auto keys = make_keys(20000, 81);
   const auto reference = cms_of(keys, CmsUpdate::kStandard, 5);
-  for (auto backend : {util::ParallelBackend::kPool,
-                       util::ParallelBackend::kOpenMP,
-                       util::ParallelBackend::kSerial}) {
+  for (auto backend :
+       {util::ParallelBackend::kPool, util::ParallelBackend::kSerial}) {
     util::set_parallel_backend(backend);
     for (int threads : {1, 2, 4, 8}) {
       util::set_parallelism(threads);
@@ -282,9 +280,8 @@ TEST_F(SketchBackendInvariance, SketchedViewBuildIsBitIdentical) {
       core::ComponentIndex::from_canonical_labels(r.labels()));
 
   const auto reference = serve::SketchedView::build(index);
-  for (auto backend : {util::ParallelBackend::kPool,
-                       util::ParallelBackend::kOpenMP,
-                       util::ParallelBackend::kSerial}) {
+  for (auto backend :
+       {util::ParallelBackend::kPool, util::ParallelBackend::kSerial}) {
     util::set_parallel_backend(backend);
     for (int threads : {1, 2, 4, 8}) {
       util::set_parallelism(threads);
@@ -311,9 +308,8 @@ TEST_F(SketchBackendInvariance, StreamStatsFinishIsBitIdentical) {
   };
   auto ref_stats = run();
   const auto ref_summary = ref_stats.finish();
-  for (auto backend : {util::ParallelBackend::kPool,
-                       util::ParallelBackend::kOpenMP,
-                       util::ParallelBackend::kSerial}) {
+  for (auto backend :
+       {util::ParallelBackend::kPool, util::ParallelBackend::kSerial}) {
     util::set_parallel_backend(backend);
     for (int threads : {1, 2, 4, 8}) {
       util::set_parallelism(threads);

@@ -28,7 +28,7 @@ class ThreadInvariance : public ::testing::Test {
 };
 
 /// ThreadInvariance plus backend save/restore: tests that pin a specific
-/// dispatch backend (pool/omp/serial) sweep freely and leave the process
+/// dispatch backend (pool/serial) sweep freely and leave the process
 /// default untouched for later suites.
 class BackendInvariance : public ThreadInvariance {
  protected:

@@ -12,7 +12,7 @@
 //      contract rests on;
 //   3. thread-invariance sweeps for the parallel in-bucket radix dedup
 //      (core dedup_arcs and the LT ALTER path) at 1/2/4/8 lanes across the
-//      pool / OpenMP / serial backends.
+//      pool / serial backends.
 #include "core/table_slab.hpp"
 
 #include <gtest/gtest.h>
@@ -244,7 +244,7 @@ std::vector<Arc> make_dup_heavy_arcs(std::uint64_t n, std::uint64_t seed) {
   // large enough for the bucketed path and for many buckets to cross
   // kRadixSortCutoff.
   auto el = graph::make_gnm(n, 2 * n, seed);
-  auto half = arcs_from_edges(el);
+  auto half = arcs_from_input(el);
   std::vector<Arc> arcs = half;
   arcs.insert(arcs.end(), half.rbegin(), half.rend());
   arcs.insert(arcs.end(), half.begin(), half.end());
@@ -260,8 +260,7 @@ TEST_F(BackendInvariance, DedupRadixThreadInvariantAcrossBackends) {
   }
   ASSERT_FALSE(reference.empty());
   for (util::ParallelBackend backend :
-       {util::ParallelBackend::kPool, util::ParallelBackend::kOpenMP,
-        util::ParallelBackend::kSerial}) {
+       {util::ParallelBackend::kPool, util::ParallelBackend::kSerial}) {
     util::set_parallel_backend(backend);
     for (int threads : {1, 2, 4, 8}) {
       util::set_parallelism(threads);
@@ -290,8 +289,7 @@ TEST_F(BackendInvariance, LtAlterDedupThreadInvariantAcrossBackends) {
                                      baselines::LtShortcut::kSingle, true};
   std::vector<graph::VertexId> reference;
   for (util::ParallelBackend backend :
-       {util::ParallelBackend::kSerial, util::ParallelBackend::kPool,
-        util::ParallelBackend::kOpenMP}) {
+       {util::ParallelBackend::kSerial, util::ParallelBackend::kPool}) {
     util::set_parallel_backend(backend);
     for (int threads : {1, 2, 4, 8}) {
       util::set_parallelism(threads);

@@ -200,10 +200,6 @@ TEST_F(BackendInvariance, ScanPrimitivesAgreeAcrossBackends) {
   const ScanResults serial = run_all_primitives();
   set_parallel_backend(ParallelBackend::kPool);
   EXPECT_EQ(run_all_primitives(), serial) << "pool";
-#ifdef LOGCC_HAVE_OPENMP
-  set_parallel_backend(ParallelBackend::kOpenMP);
-  EXPECT_EQ(run_all_primitives(), serial) << "omp";
-#endif
 }
 
 }  // namespace

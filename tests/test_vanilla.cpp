@@ -45,7 +45,7 @@ TEST(Vanilla, PhasesIndependentOfDiameterShape) {
 TEST(Vanilla, MaxPhasesRespected) {
   auto el = graph::make_path(512);
   ParentForest f(el.n);
-  auto arcs = arcs_from_edges(el);
+  auto arcs = arcs_from_input(el);
   RunStats stats;
   VanillaOptions opt;
   opt.seed = 3;
@@ -59,7 +59,7 @@ TEST(Vanilla, MaxPhasesRespected) {
 TEST(Vanilla, TreesFlatBetweenPhases) {
   auto el = graph::make_gnm(100, 240, 13);
   ParentForest f(el.n);
-  auto arcs = arcs_from_edges(el);
+  auto arcs = arcs_from_input(el);
   RunStats stats;
   VanillaOptions opt;
   opt.seed = 5;
@@ -75,7 +75,7 @@ TEST(Vanilla, MonotoneNoSplit) {
   // Monotonicity (§2.1): partitions only coarsen over phases.
   auto el = graph::make_gnm(80, 200, 21);
   ParentForest f(el.n);
-  auto arcs = arcs_from_edges(el);
+  auto arcs = arcs_from_input(el);
   RunStats stats;
   VanillaOptions opt;
   opt.seed = 9;

@@ -14,7 +14,7 @@ namespace {
 
 struct VoteHarness {
   VoteHarness(const graph::EdgeList& el, ExpandParams p) {
-    arcs = arcs_from_edges(el);
+    arcs = arcs_from_input(el);
     drop_loops(arcs);
     for (std::uint64_t v = 0; v < el.n; ++v)
       ongoing.push_back(static_cast<VertexId>(v));

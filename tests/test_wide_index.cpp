@@ -17,12 +17,14 @@
 #include <string>
 #include <vector>
 
+#include "baselines/union_find.hpp"
+#include "core/faster_cc.hpp"
 #include "core/vanilla.hpp"
-#include "core/wide_cc.hpp"
 #include "graph/arcs_input.hpp"
 #include "graph/binary_io.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "graph/graph_algos.hpp"
 #include "graph/io.hpp"
 
 namespace logcc {
@@ -229,9 +231,9 @@ TEST(WideIndex, V2RoundTripRunsAllThreeWideAlgorithmsBitCompatibly) {
   const graph::ArcsInput64& wide_in = handle.input64();
   ASSERT_TRUE(wide_in.csr_backed());
 
-  const auto wv = core::wide_vanilla_cc(wide_in, 5);
-  const auto wu = core::wide_union_find_cc(wide_in);
-  const auto wf = core::wide_faster_cc(wide_in, {.seed = 5});
+  const auto wv = core::vanilla_cc(wide_in, 5);
+  const auto wu = baselines::union_find_cc(wide_in);
+  const auto wf = core::faster_cc(wide_in, {.seed = 5});
 
   // Narrow reference: same file's graph, materialized.
   graph::EdgeList el;
@@ -242,12 +244,8 @@ TEST(WideIndex, V2RoundTripRunsAllThreeWideAlgorithmsBitCompatibly) {
     EXPECT_EQ(wv.labels[v], static_cast<graph::VertexId64>(nv.labels[v]));
 
   // All three agree up to canonical form.
-  auto canon_v = wv.labels;
-  auto canon_f = wf.labels;
-  core::wide_canonicalize_labels(canon_v);
-  core::wide_canonicalize_labels(canon_f);
-  EXPECT_EQ(canon_v, wu.labels);
-  EXPECT_EQ(canon_f, wu.labels);
+  EXPECT_EQ(graph::canonical_labels(wv.labels), wu.labels);
+  EXPECT_EQ(graph::canonical_labels(wf.labels), wu.labels);
   std::remove(path.c_str());
 }
 
