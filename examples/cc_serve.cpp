@@ -86,9 +86,6 @@ int main(int argc, char** argv) {
       "fsync", "batch", "WAL fsync policy: none | batch | every-n");
   const std::uint64_t checkpoint_every = static_cast<std::uint64_t>(cli.get_int(
       "checkpoint-every", 32, "checkpoint cadence in batches (0 = end only)"));
-  const std::uint64_t max_resident_mb = static_cast<std::uint64_t>(cli.get_int(
-      "max-resident-mb", 0,
-      "resident-memory budget in MiB (0 = unlimited; crossing it degrades)"));
   const std::string labels_out = cli.get_string(
       "labels-out", "", "write the final component labels here (one per line)");
   const std::int64_t crash_after = cli.get_int(
@@ -114,7 +111,6 @@ int main(int argc, char** argv) {
   opts.verify_every = verify_every;
   opts.rebuild_algorithm = algorithm_from_string(algorithm_name);
   opts.seed = seed;
-  opts.max_resident_bytes = max_resident_mb << 20;
   if (!wal_fsync_from_string(fsync_name, &opts.durability.wal.fsync)) {
     std::fprintf(stderr, "cc_serve: bad --fsync policy '%s'\n",
                  fsync_name.c_str());
@@ -205,7 +201,8 @@ int main(int argc, char** argv) {
       }
     }
     // Reader traffic between batches: point queries against the published
-    // snapshot, sanity-checked against the snapshot's own labeling.
+    // snapshot, sanity-checked against the snapshot's own labeling and
+    // epoch.
     const auto snap = engine->snapshot();
     for (std::uint64_t q = 0; q < queries && el.n > 0; ++q) {
       const auto u = static_cast<graph::VertexId>(
@@ -214,8 +211,8 @@ int main(int argc, char** argv) {
           util::mix64(seed, res.batch, 2 * q + 1) % el.n);
       serve::QueryInfo info;
       const bool conn = engine->connected(u, v, &info);
-      if (conn != (snap->component_of(u) == snap->component_of(v)) &&
-          engine->num_batches() == res.batch && !info.degraded) {
+      if (conn != (snap->component_of(u) == snap->component_of(v)) ||
+          info.epoch != engine->epoch()) {
         std::fprintf(stderr, "cc_serve: inconsistent query answer\n");
         return 1;
       }
@@ -224,9 +221,8 @@ int main(int argc, char** argv) {
   }
 
   // Final rebuild epoch: the stream's last word on incremental integrity.
-  // Unavailable in degraded mode (the edge log was shed to stay under the
-  // memory budget) and pointless after an interrupt (partial stream).
-  if (!interrupted && !engine->degraded()) {
+  // Pointless after an interrupt (partial stream).
+  if (!interrupted) {
     ++verify_epochs;
     if (!engine->verify_and_rebuild()) {
       ++mismatches;
@@ -256,13 +252,12 @@ int main(int argc, char** argv) {
   const double elapsed = total.seconds();
   std::printf("applied %" PRIu64 " batches (%" PRIu64 " edges) in %.3fs "
               "(%.0f edges/s apply), %" PRIu64 " queries, epoch %" PRIu64
-              "%s%s\n",
+              "%s\n",
               engine->num_batches(), engine->num_edges(), apply_seconds,
               apply_seconds > 0
                   ? static_cast<double>(engine->num_edges()) / apply_seconds
                   : 0.0,
               query_total, engine->epoch(),
-              engine->degraded() ? ", degraded" : "",
               interrupted ? ", interrupted" : "");
   std::printf("components: %" PRIu64 "   |component(v0)|: %" PRIu64
               "   verify epochs: %" PRIu64 "/%" PRIu64 " ok   total %.3fs\n",

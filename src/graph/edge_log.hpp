@@ -7,14 +7,6 @@
 // span; append() may reallocate, so any previously taken input() views are
 // invalidated by growth (the engine only takes a view inside a rebuild,
 // never across batches — the serving layer's ownership rule).
-//
-// Degradation (EngineOptions::max_resident_bytes): the accumulated edge
-// vector is the engine's only unbounded allocation, so the graceful-
-// degradation ladder sheds exactly it. After shed() the log keeps counting
-// batches and edges (the stream's logical position, which recovery and the
-// WAL rely on) but stores nothing — input()/edges() are then forbidden
-// (LOGCC_CHECK), which is what makes the rebuild/verify path unavailable
-// in degraded mode.
 #pragma once
 
 #include <cstdint>
@@ -32,58 +24,34 @@ class EdgeLog {
   explicit EdgeLog(std::uint64_t n) : n_(n) {}
 
   std::uint64_t num_vertices() const { return n_; }
-  std::uint64_t num_edges() const { return dropped_edges_ + edges_.size(); }
+  std::uint64_t num_edges() const { return edges_.size(); }
   std::uint64_t num_batches() const { return batches_; }
 
   /// Appends one batch. Endpoints must be < n (LOGCC_CHECK — the serve
   /// layer validates at the boundary so algorithms never see a bad id).
-  /// After shed(), the batch is counted but not stored.
   void append(std::span<const Edge> batch) {
     for (const Edge& e : batch)
       LOGCC_CHECK_MSG(e.u < n_ && e.v < n_, "EdgeLog: endpoint out of range");
-    if (shed_)
-      dropped_edges_ += batch.size();
-    else
-      edges_.insert(edges_.end(), batch.begin(), batch.end());
+    edges_.insert(edges_.end(), batch.begin(), batch.end());
     ++batches_;
   }
 
-  /// Drops the stored edges (the O(m) allocation) while keeping the
-  /// logical counters. Irreversible for this log; the WAL retains the full
-  /// history, so a recovered engine is un-degraded.
-  void shed() {
-    dropped_edges_ += edges_.size();
-    std::vector<Edge>().swap(edges_);
-    shed_ = true;
-  }
-  bool is_shed() const { return shed_; }
-
-  /// Bytes held by the edge storage (capacity, not size — what the
-  /// degradation ladder actually frees).
+  /// Bytes held by the edge storage (capacity, not size).
   std::uint64_t memory_bytes() const {
     return edges_.capacity() * sizeof(Edge);
   }
 
-  /// All accumulated edges, in arrival order. Forbidden after shed().
-  std::span<const Edge> edges() const {
-    LOGCC_CHECK_MSG(!shed_, "EdgeLog: edges() after shed()");
-    return edges_;
-  }
+  /// All accumulated edges, in arrival order.
+  std::span<const Edge> edges() const { return edges_; }
 
   /// Non-owning algorithm input over the accumulated edges. Valid until the
-  /// next append() (growth may reallocate the backing vector). Forbidden
-  /// after shed().
-  ArcsInput input() const {
-    LOGCC_CHECK_MSG(!shed_, "EdgeLog: input() after shed()");
-    return ArcsInput::from_edges(n_, edges_);
-  }
+  /// next append() (growth may reallocate the backing vector).
+  ArcsInput input() const { return ArcsInput::from_edges(n_, edges_); }
 
  private:
   std::uint64_t n_ = 0;
   std::vector<Edge> edges_;
   std::uint64_t batches_ = 0;
-  std::uint64_t dropped_edges_ = 0;
-  bool shed_ = false;
 };
 
 }  // namespace logcc::graph

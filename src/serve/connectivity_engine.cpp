@@ -1,6 +1,6 @@
 #include "serve/connectivity_engine.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <string>
@@ -55,15 +55,22 @@ Status make_dir(const std::string& dir) {
 std::string wal_path(const std::string& dir) { return dir + "/edges.wal"; }
 std::string ckpt_path(const std::string& dir) { return dir + "/index.ckpt"; }
 
+/// Fills a query's QueryInfo. Kept out of line so the query path itself
+/// stays one snapshot load, one range compare and one lookup.
+[[gnu::noinline]] void report(std::uint64_t epoch, bool in_range,
+                              QueryInfo* info) {
+  info->epoch = epoch;
+  info->status = in_range
+                     ? Status::ok()
+                     : Status::invalid_argument("query: vertex out of range");
+}
+
 }  // namespace
 
 ConnectivityEngine::ConnectivityEngine(std::uint64_t n, EngineOptions options)
     : options_(options), log_(n), parent_(n), scratch_(n) {
   LOGCC_CHECK_MSG(options_.durability.dir.empty(),
                   "durable engines are built via ConnectivityEngine::recover");
-  // The degraded engine serves from the sketch tier, so a memory cap
-  // without it would leave nothing fresh to answer from.
-  if (options_.max_resident_bytes > 0) options_.sketched_view = true;
   util::parallel_for(
       0, n, [&](std::size_t v) { parent_[v] = static_cast<VertexId>(v); });
   publish();  // epoch 1: n singleton components
@@ -155,11 +162,7 @@ Status ConnectivityEngine::recover(const std::string& dir, std::uint64_t n,
   engine->durable_ = true;
   engine->options_.durability = options.durability;
 
-  // Publish the recovered epoch, then honor the memory cap against the
-  // replayed history (a recovered engine starts un-degraded; it may
-  // re-trip immediately if the stream alone exceeds the budget).
-  engine->publish();
-  engine->maybe_degrade();
+  engine->publish();  // the recovered epoch
   *out = std::move(engine);
   return Status::ok();
 }
@@ -206,50 +209,18 @@ std::uint64_t ConnectivityEngine::merge_batch(std::span<const Edge> batch) {
 
 void ConnectivityEngine::publish() {
   std::vector<VertexId> labels = parent_;  // flat == canonical min-id
-  auto index = core::ComponentIndex::from_canonical_labels(std::move(labels));
-  if (degraded()) {
-    // Exact tier frozen: only the sketch advances. The view pins the
-    // transient index it was built from (one epoch's worth, replaced on
-    // the next publish), so sketch answers stay internally consistent.
-    last_count_ = index.num_components();
-    sketched_.store(std::make_shared<const SketchedView>(SketchedView::build(
-        std::make_shared<const core::ComponentIndex>(std::move(index)),
-        options_.sketch_options)));
-    return;
-  }
-  publish_index(
-      std::make_shared<const core::ComponentIndex>(std::move(index)));
-}
-
-void ConnectivityEngine::publish_index(
-    std::shared_ptr<const core::ComponentIndex> next) {
-  last_count_ = next->num_components();
-  // The sketch tier is built BEFORE the exact snapshot swaps in, and the
-  // view pins the index it summarizes — a reader combining sketched()
-  // estimates with that view's index() is always epoch-consistent, even
-  // though the two EpochPtr stores are not one atomic step.
-  if (options_.sketched_view) {
-    sketched_.store(std::make_shared<const SketchedView>(
-        SketchedView::build(next, options_.sketch_options)));
-  }
+  auto next = std::make_shared<const Published>(Published{
+      published_.epoch() + 1,  // one writer: no store can race this one
+      core::ComponentIndex::from_canonical_labels(std::move(labels))});
+  last_count_ = next->index.num_components();
   published_.store(std::move(next));
-}
-
-void ConnectivityEngine::maybe_degrade() {
-  if (options_.max_resident_bytes == 0 || degraded()) return;
-  if (resident_bytes() <= options_.max_resident_bytes) return;
-  // The ladder's one rung: drop the O(m) edge vector, the only unbounded
-  // allocation. Everything else the engine holds is O(n) and was accepted
-  // when the engine was sized.
-  log_.shed();
-  degraded_.store(true, std::memory_order_release);
 }
 
 std::uint64_t ConnectivityEngine::resident_bytes() const {
   const std::uint64_t n = num_vertices();
   std::uint64_t bytes = log_.memory_bytes();
   bytes += (parent_.capacity() + scratch_.capacity()) * sizeof(VertexId);
-  // Published exact tier (labels + sizes + root table) — estimated rather
+  // Published snapshot (labels + sizes + root table) — estimated rather
   // than walked, since readers may be holding older epochs alive too.
   bytes += 12 * n;
   return bytes;
@@ -267,7 +238,6 @@ BatchResult ConnectivityEngine::apply_batch(std::span<const Edge> batch) {
   for (const Edge& e : batch) {
     if (e.u < n && e.v < n) continue;
     out.applied = false;
-    out.degraded = degraded();
     out.durability = Status::invalid_argument(
         "apply_batch: endpoint out of range (edge " + std::to_string(e.u) +
         "-" + std::to_string(e.v) + ", n=" + std::to_string(n) + ")");
@@ -286,7 +256,6 @@ BatchResult ConnectivityEngine::apply_batch(std::span<const Edge> batch) {
     out.durability = wal_.append(batch);
     if (!out.durability.is_ok() && wal_.offset() == wal_before) {
       out.applied = false;
-      out.degraded = degraded();
       out.seconds = timer.seconds();
       return out;
     }
@@ -304,12 +273,8 @@ BatchResult ConnectivityEngine::apply_batch(std::span<const Edge> batch) {
   (void)LOGCC_FAILPOINT("engine_before_publish");
   publish();
   out.merges = before - last_count_;
-  maybe_degrade();
-  out.degraded = degraded();
 
-  // Verify cadence needs the full edge set — unavailable once shed.
-  if (!degraded() && options_.verify_every != 0 &&
-      out.batch % options_.verify_every == 0) {
+  if (options_.verify_every != 0 && out.batch % options_.verify_every == 0) {
     out.verify_ran = true;
     out.verified = verify_and_rebuild();
   }
@@ -348,8 +313,6 @@ util::Status ConnectivityEngine::flush_durable() {
 }
 
 bool ConnectivityEngine::verify_and_rebuild() {
-  LOGCC_CHECK_MSG(!log_.is_shed(),
-                  "verify_and_rebuild: edge log was shed (degraded mode)");
   // Full recompute on the accumulated edge set through the batch path. The
   // EdgeLog view is only live inside this call (append invalidates it).
   Options opt;
@@ -357,62 +320,42 @@ bool ConnectivityEngine::verify_and_rebuild() {
   auto r = connected_components(log_.input(), options_.rebuild_algorithm, opt);
   // Both sides are canonical min-id snapshots: agreement is exact equality
   // of labels, sizes, and count — not merely the same partition.
-  const auto current = published_.load();
-  const bool ok = current && r.index == *current;
-  // Roll the epoch forward with the recomputed index either way: on
+  const bool ok = r.index == published_.load()->index;
+  // Roll the epoch forward with the recomputed labels either way: on
   // disagreement readers now see the *recomputed* truth (self-healing),
   // and the caller learns the incremental state was bad. Re-seed the
   // incremental forest from the rebuild so later batches continue from
   // the verified labels.
   if (!ok) parent_ = r.index.labels();
-  publish_index(
-      std::make_shared<const core::ComponentIndex>(std::move(r.index)));
+  publish();
   return ok;
-}
-
-double ConnectivityEngine::approx_component_count() const {
-  const auto view = sketched();
-  LOGCC_CHECK_MSG(view != nullptr,
-                  "approx_component_count: sketched_view not enabled");
-  return view->approx_component_count();
-}
-
-std::uint64_t ConnectivityEngine::approx_component_size(VertexId v) const {
-  const auto view = sketched();
-  LOGCC_CHECK_MSG(view != nullptr,
-                  "approx_component_size: sketched_view not enabled");
-  LOGCC_CHECK_MSG(v < view->index()->num_vertices(),
-                  "approx_component_size: vertex out of range");
-  return view->approx_component_size(v);
 }
 
 bool ConnectivityEngine::connected(VertexId u, VertexId v,
                                    QueryInfo* info) const {
-  const auto s = snapshot();
-  LOGCC_CHECK_MSG(u < s->num_vertices() && v < s->num_vertices(),
-                  "connected: vertex out of range");
-  if (info != nullptr) {
-    info->epoch = published_.epoch();
-    info->degraded = degraded();
-  }
-  return s->connected(u, v);
+  const auto s = published_.load();
+  const bool in_range = std::max(u, v) < s->index.num_vertices();
+  const bool answer = in_range && s->index.connected(u, v);
+  if (info != nullptr) report(s->epoch, in_range, info);
+  return answer;
 }
 
 VertexId ConnectivityEngine::component_of(VertexId v, QueryInfo* info) const {
-  const auto s = snapshot();
-  LOGCC_CHECK_MSG(v < s->num_vertices(), "component_of: vertex out of range");
-  if (info != nullptr) {
-    info->epoch = published_.epoch();
-    info->degraded = degraded();
-  }
-  return s->component_of(v);
+  const auto s = published_.load();
+  const bool in_range = v < s->index.num_vertices();
+  const VertexId answer =
+      in_range ? s->index.component_of(v) : graph::kInvalidVertex;
+  if (info != nullptr) report(s->epoch, in_range, info);
+  return answer;
 }
 
-std::uint64_t ConnectivityEngine::component_size(VertexId v) const {
-  const auto s = snapshot();
-  LOGCC_CHECK_MSG(v < s->num_vertices(),
-                  "component_size: vertex out of range");
-  return s->component_size(v);
+std::uint64_t ConnectivityEngine::component_size(VertexId v,
+                                                 QueryInfo* info) const {
+  const auto s = published_.load();
+  const bool in_range = v < s->index.num_vertices();
+  const std::uint64_t answer = in_range ? s->index.component_size(v) : 0;
+  if (info != nullptr) report(s->epoch, in_range, info);
+  return answer;
 }
 
 }  // namespace logcc::serve

@@ -11,11 +11,14 @@
 // snapshots are identical for every thread count and backend.
 //
 // Queries never see the merge: after every batch the engine builds an
-// immutable core::ComponentIndex snapshot and swaps it in atomically
-// (util::EpochPtr shared_ptr publish). connected / component_of /
-// component_count / component_size read whatever epoch is current; a reader
-// holding snapshot() keeps that epoch's view alive for as long as it
-// wants.
+// immutable core::ComponentIndex snapshot, pairs it with its epoch number,
+// and swaps the pair in atomically (util::EpochPtr shared_ptr publish).
+// connected / component_of / component_count / component_size read
+// whatever epoch is current, and a QueryInfo reports the epoch of the
+// snapshot that answered; a reader holding snapshot() keeps that epoch's
+// view alive for as long as it wants. The point queries fail soft: a
+// vertex >= n answers false / kInvalidVertex / 0 and sets
+// QueryInfo::status to kInvalidArgument.
 //
 // Trust, then verify: every `verify_every` batches (or on demand) the
 // engine recomputes components from scratch through the batch
@@ -33,17 +36,8 @@
 // equals the never-crashed engine's exactly — the invariant the
 // fault-labelled suite enforces by killing the process at every registered
 // failpoint.
-//
-// Graceful degradation (EngineOptions::max_resident_bytes): when the
-// resident estimate crosses the cap the engine sheds the accumulated edge
-// log (its only unbounded allocation) and freezes the exact snapshot tier;
-// the SketchedView tier keeps advancing, so queries get stale exact
-// answers or fresh approximate ones, both flagged `degraded`. Durability
-// is unaffected — the WAL keeps the full history, and a recovered engine
-// is un-degraded.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -55,7 +49,6 @@
 #include "graph/edge_log.hpp"
 #include "graph/graph.hpp"
 #include "serve/checkpoint.hpp"
-#include "serve/sketched_view.hpp"
 #include "serve/wal.hpp"
 #include "util/epoch.hpp"
 #include "util/status.hpp"
@@ -85,16 +78,6 @@ struct EngineOptions {
   /// Batch algorithm the rebuild path runs (any of the 9 entry points).
   Algorithm rebuild_algorithm = Algorithm::kFasterCC;
   std::uint64_t seed = 1;
-  /// Build a SketchedView next to every published snapshot: queries can
-  /// opt into the approximate tier (approx component count / sizes from KBs
-  /// of sketch state) via sketched(). Costs one extra O(n) parallel pass
-  /// per publish.
-  bool sketched_view = false;
-  SketchedViewOptions sketch_options;
-  /// Resident-memory budget in bytes (0 = unlimited). Crossing it trips
-  /// the degradation ladder (see class comment). Implies sketched_view —
-  /// the degraded engine needs a fresh tier to serve from.
-  std::uint64_t max_resident_bytes = 0;
   DurabilityOptions durability;
 };
 
@@ -115,8 +98,6 @@ struct BatchResult {
   /// applies (replay would see it; retrying would duplicate it) with the
   /// error reported in `durability`.
   bool applied = true;
-  /// The engine was in (or entered) degraded mode during this batch.
-  bool degraded = false;
   /// First error of this call: kInvalidArgument for a rejected batch, else
   /// the first durability error (WAL append/sync or checkpoint write; OK
   /// when durability is off). A checkpoint failure leaves the batch
@@ -124,12 +105,12 @@ struct BatchResult {
   util::Status durability;
 };
 
-/// Epoch/staleness metadata a point query can opt into.
+/// What a point query can report about its answer.
 struct QueryInfo {
-  std::uint64_t epoch = 0;  // snapshot generation the answer came from
-  /// True when the exact tier is frozen (degraded mode): the answer is
-  /// correct for a past epoch, not necessarily the current stream position.
-  bool degraded = false;
+  std::uint64_t epoch = 0;  // epoch of the snapshot that answered
+  /// kInvalidArgument when a queried vertex is >= n (the answer is then
+  /// false, kInvalidVertex or 0); OK otherwise.
+  util::Status status;
 };
 
 class ConnectivityEngine {
@@ -173,8 +154,7 @@ class ConnectivityEngine {
   /// Full recompute through connected_components() on the accumulated edge
   /// set; cross-checks the incremental index (exact labels + sizes + count)
   /// and publishes the recomputed snapshot. Returns true when the
-  /// incremental state matched. Unavailable after degradation shed the
-  /// edge log (LOGCC_CHECK).
+  /// incremental state matched.
   bool verify_and_rebuild();
   /// Forces the durable state current: fsyncs the WAL and writes a
   /// checkpoint of the present forest. The clean-shutdown path (cc_serve's
@@ -183,31 +163,23 @@ class ConnectivityEngine {
   util::Status flush_durable();
 
   // --- reader side (any number of threads, never blocked by the writer) --
-  /// The current epoch's immutable snapshot (never null). In degraded mode
-  /// this is the last pre-degradation epoch (stale; see degraded()).
+  /// The current epoch's immutable snapshot (never null).
   std::shared_ptr<const core::ComponentIndex> snapshot() const {
-    return published_.load();
+    auto p = published_.load();
+    const core::ComponentIndex* index = &p->index;
+    return {std::move(p), index};  // shares the published pair's ownership
   }
+  /// Point queries on the current snapshot. A vertex >= n is answered
+  /// false / graph::kInvalidVertex / 0, with info->status kInvalidArgument.
   bool connected(graph::VertexId u, graph::VertexId v,
                  QueryInfo* info = nullptr) const;
   graph::VertexId component_of(graph::VertexId v,
                                QueryInfo* info = nullptr) const;
-  std::uint64_t component_count() const { return snapshot()->num_components(); }
-  std::uint64_t component_size(graph::VertexId v) const;
-
-  // --- approximate tier (EngineOptions::sketched_view) -------------------
-  /// The current epoch's sketch view (null unless sketched_view is on).
-  /// The view pins the exact snapshot it was built from, so its estimates
-  /// are epoch-consistent even while the writer publishes. In degraded
-  /// mode this is the FRESH tier (it keeps advancing past the frozen exact
-  /// snapshots).
-  std::shared_ptr<const SketchedView> sketched() const {
-    return sketched_.load();
+  std::uint64_t component_count() const {
+    return published_.load()->index.num_components();
   }
-  /// Convenience forms of the two approximate queries; LOGCC_CHECK that
-  /// the sketched view is enabled.
-  double approx_component_count() const;
-  std::uint64_t approx_component_size(graph::VertexId v) const;
+  std::uint64_t component_size(graph::VertexId v,
+                               QueryInfo* info = nullptr) const;
 
   // --- introspection -----------------------------------------------------
   std::uint64_t num_vertices() const { return log_.num_vertices(); }
@@ -217,11 +189,8 @@ class ConnectivityEngine {
   std::uint64_t epoch() const { return published_.epoch(); }
   const graph::EdgeLog& edges() const { return log_; }
   bool durable() const { return durable_; }
-  /// True once the degradation ladder tripped (sticky for this engine's
-  /// lifetime; recovery from the WAL yields an un-degraded engine).
-  bool degraded() const { return degraded_.load(std::memory_order_acquire); }
   /// Estimate of resident bytes (edge log + forest arrays + published
-  /// snapshot tiers) — what max_resident_bytes is compared against.
+  /// snapshot).
   std::uint64_t resident_bytes() const;
   /// WAL byte offset of the durable stream position (0 when not durable).
   std::uint64_t wal_offset() const { return durable_ ? wal_.offset() : 0; }
@@ -229,14 +198,9 @@ class ConnectivityEngine {
  private:
   /// Hook+shortcut the batch into the flat forest; returns rounds.
   std::uint64_t merge_batch(std::span<const graph::Edge> batch);
-  /// Builds and swaps in the next snapshot from the current flat forest.
-  /// In degraded mode only the sketch tier advances.
+  /// Builds and swaps in the next epoch's snapshot from the current flat
+  /// forest.
   void publish();
-  /// Shared publish tail: stores the index (and, when enabled, the
-  /// SketchedView built from it) as the next epoch.
-  void publish_index(std::shared_ptr<const core::ComponentIndex> next);
-  /// Trips the ladder when the resident estimate crosses the cap.
-  void maybe_degrade();
   /// Writes a checkpoint of the current forest at the current WAL offset.
   util::Status write_checkpoint_now();
 
@@ -248,12 +212,15 @@ class ConnectivityEngine {
   std::vector<graph::VertexId> parent_;
   std::vector<graph::VertexId> scratch_;
   std::uint64_t last_count_ = 0;  // published count (writer-side bookkeeping)
-  util::EpochPtr<core::ComponentIndex> published_;
-  util::EpochPtr<SketchedView> sketched_;  // empty unless options say so
-  WalWriter wal_;                          // open iff durable_
+  /// One published epoch: the snapshot and its number, swapped in as one
+  /// immutable object so a query reports the epoch that answered it.
+  struct Published {
+    std::uint64_t epoch = 0;
+    core::ComponentIndex index;
+  };
+  util::EpochPtr<Published> published_;
+  WalWriter wal_;  // open iff durable_
   bool durable_ = false;
-  // Written by the writer thread, read by query threads via QueryInfo.
-  std::atomic<bool> degraded_{false};
 };
 
 }  // namespace logcc::serve

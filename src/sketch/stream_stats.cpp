@@ -15,8 +15,7 @@ StreamStats::StreamStats(std::uint64_t n, StreamStatsOptions options)
       parent_(n),
       // Independent streams off one seed, counter-based: stream 1 = edge
       // HLL, 2 = vertex HLL, 3 = degree CMS; finish() uses 4 (component
-      // HLL) and 5 (size CMS) — serve::SketchedView derives the same two,
-      // so the label-derived sketches match it bit for bit.
+      // HLL) and 5 (size CMS).
       hll_edges_(options.hll_precision, util::mix64(options.seed, 1)),
       hll_vertices_(options.hll_precision, util::mix64(options.seed, 2)),
       cms_degree_(options.cms_depth, options.cms_width,
@@ -108,7 +107,7 @@ StreamSummary StreamStats::finish() {
 
   // The label-derived sketches: distinct labels ~= component count; label
   // multiplicity ~= component size. Standard-mode parallel fills, so these
-  // are bit-identical to serve::SketchedView built from the same labels.
+  // are bit-identical for every thread count and backend.
   hll_components_ = HyperLogLog(
       options_.hll_precision, util::mix64(options_.seed, kComponentHllStream));
   cms_sizes_ = CountMinSketch(options_.cms_depth, options_.cms_width,

@@ -18,9 +18,7 @@
 //                conservative-update CountMinSketch + a bounded top-k
 //                candidate list, the classic heavy-hitter loop.
 //   hll_components / cms_sizes (built by finish()): component count and
-//                per-component size estimated from the final label array —
-//                the sketch-tier views the serving layer's SketchedView
-//                shares bit-for-bit (same options => same registers).
+//                per-component size estimated from the final label array.
 //
 // Determinism: add_edge is sequential (a stream has an order; generator
 // enumeration is single-threaded by contract) and all hashing is seeded
@@ -39,10 +37,8 @@
 
 namespace logcc::sketch {
 
-/// Sub-seed streams (mix64(seed, stream)) for the label-derived sketches.
-/// Shared by StreamStats::finish and serve::SketchedView so the two paths
-/// produce bit-identical registers/counters from the same labels, seed,
-/// and shape — what the sketch differential suite pins.
+/// Sub-seed streams (mix64(seed, stream)) for the label-derived sketches
+/// StreamStats::finish builds.
 inline constexpr std::uint64_t kComponentHllStream = 4;
 inline constexpr std::uint64_t kSizeCmsStream = 5;
 
@@ -129,8 +125,7 @@ class StreamStats {
   HyperLogLog hll_edges_;
   HyperLogLog hll_vertices_;
   CountMinSketch cms_degree_;  // conservative: sequential stream owns order
-  // Built by finish() from the final labels (standard mode, parallel fill
-  // — bit-identical to serve::SketchedView over the same labels/options).
+  // Built by finish() from the final labels (standard mode, parallel fill).
   HyperLogLog hll_components_;
   CountMinSketch cms_sizes_;
 

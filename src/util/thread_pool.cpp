@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include "util/affinity.hpp"
 #include "util/arena.hpp"
 #include "util/failpoint.hpp"
 #include <atomic>
@@ -80,7 +79,6 @@ struct ThreadPool::Impl {
   // fresh worker (after a resize restart) must NOT mistake an already-
   // consumed epoch for new work and run on stale segments.
   void worker_main(std::size_t lane, std::uint64_t seen) {
-    pin_current_thread(lane);  // no-op unless LOGCC_PIN is set
     prewarm_worker_arena();
     for (;;) {
       // Spin briefly for the next epoch, then park.

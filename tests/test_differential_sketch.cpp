@@ -6,34 +6,22 @@
 //   exact    — the batch connected_components() path (whose correctness the
 //              cc differential suite already pins against union-find), and
 //   approx   — the one-pass sketch::StreamStats consuming the edge list as
-//              a stream, plus serve::SketchedView built from the exact
-//              ComponentIndex.
+//              a stream.
 //
 // What must hold on every graph:
 //   * StreamStats labels are BITWISE the exact canonical labels (the
 //     streaming union-find is exact; only edge-mass answers are sketched);
 //   * the component-count HLL lands within its a-priori error bound;
 //   * the size count-min never undershoots any component's true size and
-//     overshoots by more than epsilon * n on at most a delta-ish fraction;
-//   * cross-path bit-identity: StreamStats::finish and SketchedView::build
-//     derive their label sketches from the same sub-seed streams, so given
-//     the same labels + options their registers/counters are identical —
-//     the streaming tier and the serving tier can never drift apart;
-//   * a ConnectivityEngine fed the same edges batch-wise publishes a
-//     SketchedView whose estimates agree with all of the above.
+//     overshoots by more than epsilon * n on at most a delta-ish fraction.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "core/connectivity.hpp"
 #include "graph/generators.hpp"
-#include "serve/connectivity_engine.hpp"
-#include "serve/sketched_view.hpp"
 #include "sketch/stream_stats.hpp"
 #include "test_support.hpp"
 #include "util/random.hpp"
@@ -121,54 +109,6 @@ TEST(DifferentialSketch, StreamingTierAgreesWithExactTierOnCorpus) {
     EXPECT_LE(static_cast<double>(size_violations),
               0.1 * static_cast<double>(roots) + 1.0)
         << c.name;
-
-    // Cross-path bit-identity with the serving tier: same labels + default
-    // options => identical sketch state, streaming or snapshot built.
-    const auto view = serve::SketchedView::build(index);
-    ASSERT_EQ(stats.component_hll(), view.count_hll()) << c.name;
-    ASSERT_EQ(stats.size_cms(), view.size_cms()) << c.name;
-  }
-}
-
-TEST(DifferentialSketch, EngineSketchedViewMatchesStreamingTier) {
-  // Feed a sample of corpus graphs batch-wise through a ConnectivityEngine
-  // with the sketch tier enabled: the published view must be bit-identical
-  // to the one built directly from its own snapshot, and its estimates
-  // must agree with the streaming tier on the same edges.
-  const auto cases = corpus();
-  for (std::size_t i = 0; i < cases.size(); i += 23) {
-    const Case& c = cases[i];
-    serve::EngineOptions opts;
-    opts.sketched_view = true;
-    serve::ConnectivityEngine engine(c.el.n, opts);
-    const std::span<const graph::Edge> all(c.el.edges);
-    const std::size_t batch = all.size() / 3 + 1;
-    for (std::size_t off = 0; off < all.size(); off += batch)
-      engine.apply_batch(
-          all.subspan(off, std::min(batch, all.size() - off)));
-
-    const auto view = engine.sketched();
-    ASSERT_NE(view, nullptr) << c.name;
-    // Epoch consistency: the view pins the snapshot it was built from.
-    ASSERT_EQ(view->index()->labels(), engine.snapshot()->labels()) << c.name;
-    const auto rebuilt =
-        serve::SketchedView::build(view->index(), opts.sketch_options);
-    ASSERT_EQ(view->count_hll(), rebuilt.count_hll()) << c.name;
-    ASSERT_EQ(view->size_cms(), rebuilt.size_cms()) << c.name;
-
-    sketch::StreamStats stats(c.el.n);
-    for (const auto& e : c.el.edges) stats.add_edge(e.u, e.v);
-    stats.finish();
-    ASSERT_EQ(stats.labels(), view->index()->labels()) << c.name;
-    ASSERT_EQ(stats.component_hll(), view->count_hll()) << c.name;
-    ASSERT_EQ(stats.size_cms(), view->size_cms()) << c.name;
-    EXPECT_EQ(engine.approx_component_count(),
-              view->approx_component_count())
-        << c.name;
-    if (c.el.n > 0)
-      EXPECT_EQ(engine.approx_component_size(0),
-                view->approx_component_size(0))
-          << c.name;
   }
 }
 

@@ -78,11 +78,13 @@ void clean_dir(const std::string& dir) {
 }
 
 /// Recovers from `dir` and asserts the published index equals the reference
-/// for however many batches made it to disk; optionally requires an exact
-/// batch count. Returns the recovered batch count.
+/// for however many batches made it to disk, and that the edge log holds
+/// that whole prefix (checkpointed batches included); optionally requires
+/// an exact batch count. Returns the recovered batch count.
 std::uint64_t expect_recovers_to_prefix(
     const std::string& dir, std::int64_t want_batches = -1,
     ConnectivityEngine::RecoveryInfo* info_out = nullptr) {
+  const auto batches = workload();
   std::unique_ptr<ConnectivityEngine> engine;
   ConnectivityEngine::RecoveryInfo info;
   const Status s =
@@ -93,11 +95,16 @@ std::uint64_t expect_recovers_to_prefix(
   const std::uint64_t k = engine->num_batches();
   if (want_batches >= 0)
     EXPECT_EQ(k, static_cast<std::uint64_t>(want_batches));
-  EXPECT_LE(k, workload().size());
+  EXPECT_LE(k, batches.size());
   EXPECT_TRUE(*engine->snapshot() == *reference_index(k))
       << "recovered index differs from the uninterrupted engine at batch "
       << k;
-  EXPECT_FALSE(engine->degraded());
+  std::uint64_t prefix_edges = 0;
+  for (std::size_t i = 0; i < k && i < batches.size(); ++i)
+    prefix_edges += batches[i].size();
+  EXPECT_EQ(engine->num_edges(), prefix_edges);
+  EXPECT_TRUE(engine->verify_and_rebuild())
+      << "a recompute over the recovered edge log disagrees at batch " << k;
   if (info_out) *info_out = info;
   return k;
 }
@@ -365,39 +372,6 @@ TEST_F(Recovery, ErrorSweepAcrossWritePathSitesConverges) {
     expect_recovers_to_prefix(dir,
                               static_cast<std::int64_t>(batches.size()));
   }
-}
-
-// ------------------------------------------------------------ degradation ---
-
-TEST_F(Recovery, DegradedDurableEngineRecoversUndegraded) {
-  const std::string dir = test_dir("degraded");
-  clean_dir(dir);
-  const auto batches = workload();
-  EngineOptions opt = durable_options(dir);
-  opt.max_resident_bytes = 1;  // trip immediately
-  {
-    std::unique_ptr<ConnectivityEngine> engine;
-    ASSERT_TRUE(
-        ConnectivityEngine::recover(dir, kN, opt, &engine, nullptr).is_ok());
-    bool saw_degraded = false;
-    for (const auto& b : batches) {
-      const auto res = engine->apply_batch(b);
-      ASSERT_TRUE(res.applied);
-      saw_degraded |= res.degraded;
-    }
-    ASSERT_TRUE(saw_degraded);
-    ASSERT_TRUE(engine->degraded());
-    // Degraded queries carry the staleness flag ...
-    serve::QueryInfo qi;
-    (void)engine->connected(0, 1, &qi);
-    EXPECT_TRUE(qi.degraded);
-    // ... and the fresh approximate tier keeps serving.
-    ASSERT_NE(engine->sketched(), nullptr);
-    EXPECT_GT(engine->approx_component_count(), 0.0);
-  }
-  // The WAL kept the full history even though memory shed it: recovery
-  // without the cap yields the exact, un-degraded final state.
-  expect_recovers_to_prefix(dir, static_cast<std::int64_t>(batches.size()));
 }
 
 // ----------------------------------------------- kill at every failpoint ---

@@ -8,15 +8,17 @@
 // not merely same-partition.
 //
 // On top of that: epoch-swap reader semantics (queries never see a
-// half-merged state; old snapshots stay valid), the rebuild/verify
-// cadence, and a concurrent reader/writer scenario the TSan CI job
-// race-checks.
+// half-merged state; old snapshots stay valid; a query reports the epoch
+// of the snapshot that answered it), fail-soft point queries, the
+// rebuild/verify cadence, and concurrent reader/writer scenarios the TSan
+// CI job race-checks.
 #include "serve/connectivity_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <memory>
@@ -156,6 +158,48 @@ TEST(Serve, DurableEngineRejectsOutOfRangeEndpointsBeforeTheWal) {
   expect_rejects_out_of_range(*engine);
   engine.reset();
   clean();
+}
+
+TEST(Serve, QueriesRejectOutOfRangeVertices) {
+  ConnectivityEngine engine(4);
+  ASSERT_TRUE(engine.apply_batch(std::vector<Edge>{{0, 1}}).applied);
+  auto expect_rejected = [&](const serve::QueryInfo& info) {
+    EXPECT_EQ(info.status.code(), util::StatusCode::kInvalidArgument)
+        << info.status.to_string();
+    EXPECT_EQ(info.epoch, engine.epoch());
+  };
+  for (const VertexId bad : {VertexId{4}, graph::kInvalidVertex}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(engine.connected(0, bad));
+    EXPECT_FALSE(engine.connected(bad, 1));
+    EXPECT_FALSE(engine.connected(bad, bad));
+    EXPECT_EQ(engine.component_of(bad), graph::kInvalidVertex);
+    EXPECT_EQ(engine.component_size(bad), 0u);
+    serve::QueryInfo info;
+    EXPECT_FALSE(engine.connected(0, bad, &info));
+    expect_rejected(info);
+    info = {};
+    EXPECT_FALSE(engine.connected(bad, 1, &info));
+    expect_rejected(info);
+    info = {};
+    EXPECT_EQ(engine.component_of(bad, &info), graph::kInvalidVertex);
+    expect_rejected(info);
+    info = {};
+    EXPECT_EQ(engine.component_size(bad, &info), 0u);
+    expect_rejected(info);
+  }
+  // In-range queries through the same QueryInfo report OK again.
+  serve::QueryInfo info;
+  info.status = util::Status::invalid_argument("stale");
+  EXPECT_TRUE(engine.connected(0, 1, &info));
+  EXPECT_TRUE(info.status.is_ok());
+  EXPECT_EQ(info.epoch, 2u);
+  info.status = util::Status::invalid_argument("stale");
+  EXPECT_EQ(engine.component_of(1, &info), 0u);
+  EXPECT_TRUE(info.status.is_ok());
+  info.status = util::Status::invalid_argument("stale");
+  EXPECT_EQ(engine.component_size(1, &info), 2u);
+  EXPECT_TRUE(info.status.is_ok());
 }
 
 TEST(Serve, EpochAdvancesPerBatchAndOldSnapshotsSurvive) {
@@ -301,6 +345,43 @@ TEST(Serve, ConcurrentReadersSeeOnlyPublishedEpochs) {
   for (auto& r : readers) r.join();
   EXPECT_GT(query_count.load(), 0u);
   EXPECT_TRUE(*engine.snapshot() == recompute(el.n, engine.edges().edges()));
+}
+
+// QueryInfo::epoch is the epoch of the snapshot that answered. Batch b adds
+// edge (0, b) and publishes epoch b + 1, so connected(0, j) must be true
+// exactly when the reported epoch is > j. Readers query the vertices the
+// writer is adding right now, where an epoch read apart from the snapshot
+// would be off by one.
+TEST(Serve, QueryEpochIsTheAnsweringSnapshots) {
+  constexpr VertexId kN = 3000;
+  ConnectivityEngine engine(kN);
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> wrong{0};
+  std::atomic<std::uint64_t> query_count{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      std::uint64_t q = 0;
+      while (!done.load(std::memory_order_acquire) || q < 100) {
+        const std::uint64_t e = engine.epoch() - (q + t) % 2;
+        const auto j = static_cast<VertexId>(std::clamp<std::uint64_t>(
+            e, 1, kN - 1));
+        serve::QueryInfo info;
+        const bool answer = engine.connected(0, j, &info);
+        if (answer != (info.epoch > j) || !info.status.is_ok())
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        ++q;
+      }
+      query_count.fetch_add(q, std::memory_order_relaxed);
+    });
+  }
+  for (VertexId b = 1; b < kN; ++b)
+    engine.apply_batch(std::vector<Edge>{{0, b}});
+  done.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+  EXPECT_GT(query_count.load(), 0u);
+  EXPECT_EQ(wrong.load(), 0u) << "of " << query_count.load() << " queries";
+  EXPECT_EQ(engine.epoch(), std::uint64_t{kN});
 }
 
 }  // namespace

@@ -14,8 +14,8 @@
 //                modes), and the (epsilon, delta) overestimate bound:
 //                excess > epsilon * N for at most ~delta of the keys.
 //   Components   the HLL-over-labels component-count estimate that
-//                cc_tool --sketch and SketchedView report, on real label
-//                arrays from multi-component graph families.
+//                cc_tool --sketch reports, on real label arrays from
+//                multi-component graph families.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -181,8 +181,8 @@ TEST(SketchAccuracy, CountMinErrorShrinksWithWidth) {
 TEST(SketchAccuracy, ComponentCountEstimateOnMultiComponentFamilies) {
   // Real label arrays with many components: a path forest (6 * 800 paths)
   // and a sparse gnm (n >> m leaves ~n - m components). The graph is fixed
-  // per family; the 50 seeds sweep the sketch, exactly like a SketchedView
-  // epoch would under different engine seeds.
+  // per family; the 50 seeds sweep the sketch, as different
+  // cc_tool --sketch --seed values would.
   struct Family {
     const char* name;
     graph::EdgeList el;
