@@ -19,6 +19,7 @@
 #include "core/vote.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_algos.hpp"
+#include "serve/connectivity_engine.hpp"
 #include "util/arena.hpp"
 #include "util/hashing.hpp"
 #include "util/parallel.hpp"
@@ -449,6 +450,65 @@ void BM_DispatchBlocks(benchmark::State& state) {
 }
 BENCHMARK(BM_DispatchBlocks<util::ParallelBackend::kPool>)
     ->Args({64, 8})
+    ->UseRealTime();
+
+// ---- Reader scaling of the serving engine's query path. Each reader
+// thread answers seeded random pairs through engine.connected(), which
+// reads the thread's cached snapshot slot; the twin answers the same pairs
+// on a snapshot each thread holds, the ceiling for any query path.
+// items/s is the total over all readers. One engine, built once on first
+// use: n = 10^6 after 10^6 random edges, no writer.
+
+const serve::ConnectivityEngine& query_engine() {
+  static const auto engine = [] {
+    constexpr std::uint64_t kN = 1'000'000;
+    auto e = std::make_unique<serve::ConnectivityEngine>(kN);
+    e->apply_batch(graph::make_gnm(kN, kN, 5).edges);
+    return e;
+  }();
+  return *engine;
+}
+
+/// One seeded pair per iteration, reduced into [0, n) by multiply-shift.
+template <typename Query>
+void run_queries(benchmark::State& state, std::uint64_t n,
+                 const Query& query) {
+  const auto seed = static_cast<std::uint64_t>(state.thread_index());
+  std::uint64_t i = 0;
+  std::uint64_t hits = 0;
+  for (auto _ : state) {
+    const std::uint64_t x = util::mix64(seed, i++);
+    hits += query(static_cast<graph::VertexId>(((x & 0xFFFFFFFFu) * n) >> 32),
+                  static_cast<graph::VertexId>(((x >> 32) * n) >> 32));
+  }
+  benchmark::DoNotOptimize(hits);
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_EngineQueriesThreaded(benchmark::State& state) {
+  const auto& engine = query_engine();
+  run_queries(state, engine.num_vertices(),
+              [&](graph::VertexId u, graph::VertexId v) {
+                return engine.connected(u, v);
+              });
+}
+BENCHMARK(BM_EngineQueriesThreaded)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->UseRealTime();
+
+void BM_HeldSnapshotQueriesThreaded(benchmark::State& state) {
+  const auto snapshot = query_engine().snapshot();
+  run_queries(state, snapshot->num_vertices(),
+              [&](graph::VertexId u, graph::VertexId v) {
+                return snapshot->connected(u, v);
+              });
+}
+BENCHMARK(BM_HeldSnapshotQueriesThreaded)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
     ->UseRealTime();
 
 void BM_ArenaAllocReset(benchmark::State& state) {

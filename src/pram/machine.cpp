@@ -1,6 +1,7 @@
 #include "pram/machine.hpp"
 
 #include <algorithm>
+#include <span>
 
 namespace logcc::pram {
 
@@ -40,6 +41,7 @@ void Machine::end_step() {
     std::size_t j = i;
     while (j < pending_.size() && pending_[j].addr == pending_[i].addr) ++j;
     const std::size_t addr = pending_[i].addr;
+    const std::span<const PendingWrite> group(pending_.data() + i, j - i);
     if (j - i > 1) ledger_.conflicts += 1;
     switch (policy_) {
       case WritePolicy::kArbitrary: {
@@ -59,17 +61,21 @@ void Machine::end_step() {
         break;
       }
       case WritePolicy::kPriority: {
-        std::size_t win = i;
-        for (std::size_t k = i + 1; k < j; ++k)
-          if (pending_[k].proc < pending_[win].proc) win = k;
-        memory_[addr] = pending_[win].value;
+        memory_[addr] = std::min_element(group.begin(), group.end(),
+                                         [](const PendingWrite& a,
+                                            const PendingWrite& b) {
+                                           return a.proc < b.proc;
+                                         })
+                            ->value;
         break;
       }
       case WritePolicy::kCombineMin: {
-        Word m = pending_[i].value;
-        for (std::size_t k = i + 1; k < j; ++k)
-          m = std::min(m, pending_[k].value);
-        memory_[addr] = m;
+        memory_[addr] = std::min_element(group.begin(), group.end(),
+                                         [](const PendingWrite& a,
+                                            const PendingWrite& b) {
+                                           return a.value < b.value;
+                                         })
+                            ->value;
         break;
       }
       case WritePolicy::kCombineSum: {

@@ -1,6 +1,5 @@
 #include "serve/connectivity_engine.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <string>
@@ -54,16 +53,6 @@ Status make_dir(const std::string& dir) {
 
 std::string wal_path(const std::string& dir) { return dir + "/edges.wal"; }
 std::string ckpt_path(const std::string& dir) { return dir + "/index.ckpt"; }
-
-/// Fills a query's QueryInfo. Kept out of line so the query path itself
-/// stays one snapshot load, one range compare and one lookup.
-[[gnu::noinline]] void report(std::uint64_t epoch, bool in_range,
-                              QueryInfo* info) {
-  info->epoch = epoch;
-  info->status = in_range
-                     ? Status::ok()
-                     : Status::invalid_argument("query: vertex out of range");
-}
 
 }  // namespace
 
@@ -331,30 +320,30 @@ bool ConnectivityEngine::verify_and_rebuild() {
   return ok;
 }
 
-bool ConnectivityEngine::connected(VertexId u, VertexId v,
-                                   QueryInfo* info) const {
-  const auto s = published_.load();
-  const bool in_range = std::max(u, v) < s->index.num_vertices();
-  const bool answer = in_range && s->index.connected(u, v);
-  if (info != nullptr) report(s->epoch, in_range, info);
-  return answer;
+[[gnu::noinline]] void ConnectivityEngine::report(std::uint64_t epoch,
+                                                  bool in_range,
+                                                  QueryInfo* info) {
+  info->epoch = epoch;
+  info->status = in_range
+                     ? Status::ok()
+                     : Status::invalid_argument("query: vertex out of range");
 }
 
 VertexId ConnectivityEngine::component_of(VertexId v, QueryInfo* info) const {
-  const auto s = published_.load();
-  const bool in_range = v < s->index.num_vertices();
+  const Published& s = *published_.read();
+  const bool in_range = v < s.index.num_vertices();
   const VertexId answer =
-      in_range ? s->index.component_of(v) : graph::kInvalidVertex;
-  if (info != nullptr) report(s->epoch, in_range, info);
+      in_range ? s.index.component_of(v) : graph::kInvalidVertex;
+  if (info != nullptr) report(s.epoch, in_range, info);
   return answer;
 }
 
 std::uint64_t ConnectivityEngine::component_size(VertexId v,
                                                  QueryInfo* info) const {
-  const auto s = published_.load();
-  const bool in_range = v < s->index.num_vertices();
-  const std::uint64_t answer = in_range ? s->index.component_size(v) : 0;
-  if (info != nullptr) report(s->epoch, in_range, info);
+  const Published& s = *published_.read();
+  const bool in_range = v < s.index.num_vertices();
+  const std::uint64_t answer = in_range ? s.index.component_size(v) : 0;
+  if (info != nullptr) report(s.epoch, in_range, info);
   return answer;
 }
 

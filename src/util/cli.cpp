@@ -14,14 +14,15 @@ Cli::Cli(int argc, char** argv) : program_(argc > 0 ? argv[0] : "prog") {
     }
     if (arg.rfind("--", 0) == 0) {
       std::string body = arg.substr(2);
+      std::string value = "1";  // bare flag
       auto eq = body.find('=');
       if (eq != std::string::npos) {
-        values_[body.substr(0, eq)] = body.substr(eq + 1);
+        value = body.substr(eq + 1);
+        body.resize(eq);
       } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[body] = argv[++i];
-      } else {
-        values_[body] = "1";  // bare flag
+        value = argv[++i];
       }
+      values_[body] = std::move(value);
     } else {
       positional_.push_back(arg);
     }

@@ -1,10 +1,14 @@
-// util::EpochPtr under concurrent publish/read churn — the serve layer's
-// snapshot-swap primitive (PR 10 satellite). One writer publishes
-// generations as fast as it can while 8 reader threads load continuously;
-// every loaded snapshot must be internally consistent (immutable once
-// published), epochs must be monotonic, and dropped snapshots must be
-// freed exactly once (shared_ptr accounting). The TSan CI job runs this
-// suite with the pool backend to race-check the load/store pair.
+// util::EpochPtr, the serve layer's snapshot-swap primitive. One writer
+// publishes generations as fast as it can while 8 reader threads read
+// continuously, half through load() (a copy under the mutex) and half
+// through read() (the per-thread cached slot). Every snapshot a reader
+// gets must be internally consistent (immutable once published) and at
+// least as new as the epoch the reader saw before asking, a thread's
+// epochs must never go back, and dropped snapshots must be freed exactly
+// once (shared_ptr accounting). The cached slot must also tell a new
+// EpochPtr from a destroyed one at the same address, and pin no more than
+// the last snapshot it returned. The TSan CI job runs this suite with the
+// pool backend to race-check store() against both read paths.
 #include "util/epoch.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +16,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -36,6 +41,7 @@ struct Snapshot {
 TEST(EpochPtr, StartsNullAtEpochZero) {
   util::EpochPtr<Snapshot> p;
   EXPECT_EQ(p.load(), nullptr);
+  EXPECT_EQ(p.read(), nullptr);
   EXPECT_EQ(p.epoch(), 0u);
 }
 
@@ -44,9 +50,41 @@ TEST(EpochPtr, StoreBumpsEpochAndSwapsValue) {
   p.store(std::make_shared<const Snapshot>(7));
   EXPECT_EQ(p.epoch(), 1u);
   EXPECT_EQ(p.load()->value, 7u);
+  EXPECT_EQ(p.read()->value, 7u);
   p.store(std::make_shared<const Snapshot>(8));
   EXPECT_EQ(p.epoch(), 2u);
   EXPECT_EQ(p.load()->value, 8u);
+  EXPECT_EQ(p.read()->value, 8u);
+}
+
+// The cached slot belongs to one EpochPtr. A new EpochPtr built in the
+// destroyed one's storage has the same address and restarts at the same
+// epoch, so a slot keyed by address (or by epoch alone) would keep
+// answering with the destroyed EpochPtr's snapshot.
+TEST(EpochPtr, CachedReadSeesANewPtrAtARecycledAddress) {
+  std::optional<util::EpochPtr<Snapshot>> p;
+  p.emplace(std::make_shared<const Snapshot>(1));
+  const void* const address = &*p;
+  EXPECT_EQ(p->read()->value, 1u);
+  p.reset();
+  p.emplace(std::make_shared<const Snapshot>(2));
+  ASSERT_EQ(&*p, address);
+  ASSERT_EQ(p->epoch(), 1u);
+  EXPECT_EQ(p->read()->value, 2u)
+      << "a cached read answered from a destroyed EpochPtr";
+}
+
+// The cache's memory cost is one snapshot per thread: the slot keeps the
+// last snapshot it returned alive, and lets it go on the next read after
+// a store.
+TEST(EpochPtr, CachedReadPinsOnlyTheLastSnapshot) {
+  util::EpochPtr<Snapshot> p;
+  p.store(std::make_shared<const Snapshot>(1));
+  const std::weak_ptr<const Snapshot> first = p.read();
+  p.store(std::make_shared<const Snapshot>(2));
+  EXPECT_FALSE(first.expired()) << "the slot still holds epoch 1";
+  EXPECT_EQ(p.read()->value, 2u);
+  EXPECT_TRUE(first.expired()) << "the slot pinned a superseded snapshot";
 }
 
 TEST(EpochPtr, OldSnapshotSurvivesWhileHeld) {
@@ -71,17 +109,28 @@ TEST(EpochPtr, ConcurrentPublishReadChurn) {
 
   std::vector<std::thread> readers;
   for (int t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&] {
+    const bool cached = t % 2 == 1;
+    readers.emplace_back([&, cached] {
       std::uint64_t my_loads = 0;
       std::uint64_t last_epoch = 0;
+      std::uint64_t last_value = 0;
       std::uint64_t my_torn = 0;
       started.fetch_add(1, std::memory_order_release);
       while (!done.load(std::memory_order_acquire)) {
-        // Epoch-then-load: the snapshot read must be at least as new as
-        // the epoch observed before it (the counter bumps on store).
+        // Epoch-then-read: the snapshot must be at least as new as the
+        // epoch observed before it (generation g is published as epoch
+        // g + 1), and this thread's snapshots must never go back.
         const std::uint64_t e = p.epoch();
-        const auto snap = p.load();
-        if (snap == nullptr || !snap->consistent()) ++my_torn;
+        std::shared_ptr<const Snapshot> copy;
+        const Snapshot* snap =
+            cached ? p.read().get() : (copy = p.load()).get();
+        if (snap == nullptr || !snap->consistent()) {
+          ++my_torn;
+        } else {
+          if (snap->value + 1 < e) ++my_torn;        // stale
+          if (snap->value < last_value) ++my_torn;   // went back
+          last_value = snap->value;
+        }
         if (e < last_epoch) ++my_torn;  // monotonicity violation
         last_epoch = e;
         ++my_loads;

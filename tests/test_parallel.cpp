@@ -57,7 +57,7 @@ TEST(HardwareParallelism, AtLeastOne) {
 TEST(Timer, MeasuresElapsedTime) {
   Timer t;
   volatile double sink = 0;
-  for (int i = 0; i < 2000000; ++i) sink += i;
+  for (int i = 0; i < 2000000; ++i) sink = sink + i;
   double s = t.seconds();
   EXPECT_GT(s, 0.0);
   EXPECT_LT(s, 60.0);

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph_algos.hpp"
 #include "test_support.hpp"
+#include "util/random.hpp"
 
 namespace logcc {
 namespace {
@@ -214,6 +216,31 @@ TEST(Serve, EpochAdvancesPerBatchAndOldSnapshotsSurvive) {
   EXPECT_TRUE(engine.snapshot()->connected(0, 1));
 }
 
+// A reader thread's cached view belongs to one engine. An engine built in
+// a destroyed engine's storage has the same address and restarts at the
+// same epochs, and must still answer with its own state.
+TEST(Serve, RebuiltEngineAnswersWithItsOwnState) {
+  std::optional<ConnectivityEngine> engine;
+  engine.emplace(4);
+  engine->apply_batch(std::vector<Edge>{{0, 1}});
+  EXPECT_TRUE(engine->connected(0, 1));
+  EXPECT_EQ(engine->component_size(1), 2u);
+  const void* const address = &*engine;
+  engine.reset();
+  engine.emplace(4);
+  engine->apply_batch(std::vector<Edge>{{2, 3}});
+  ASSERT_EQ(&*engine, address);
+  ASSERT_EQ(engine->epoch(), 2u);
+  serve::QueryInfo info;
+  EXPECT_FALSE(engine->connected(0, 1, &info));
+  EXPECT_EQ(info.epoch, 2u);
+  EXPECT_TRUE(engine->connected(2, 3));
+  EXPECT_EQ(engine->component_of(1), 1u);
+  EXPECT_EQ(engine->component_size(1), 1u);
+  EXPECT_EQ(engine->component_size(3), 2u);
+  EXPECT_EQ(engine->snapshot()->component_of(3), 2u);
+}
+
 TEST(Serve, VerifyCadenceRunsAndPasses) {
   const auto el = graph::make_gnm(300, 900, 5);
   EngineOptions opts;
@@ -382,6 +409,59 @@ TEST(Serve, QueryEpochIsTheAnsweringSnapshots) {
   EXPECT_GT(query_count.load(), 0u);
   EXPECT_EQ(wrong.load(), 0u) << "of " << query_count.load() << " queries";
   EXPECT_EQ(engine.epoch(), std::uint64_t{kN});
+}
+
+// The reader check of the repo's benchmark, under a live writer.
+// Connectivity only grows under insertions, so an answer is right iff it
+// lies between a snapshot() taken before it and one taken after:
+// "connected" must hold in the later one, "not connected" in the earlier.
+// That fails if a thread's queries can lag behind a snapshot it already
+// took. Batch b adds edge (0, b), so the seeded pairs (0, j) with j near
+// the current epoch are the ones whose answer is changing right now.
+TEST(Serve, ReaderAnswersLieBetweenItsSnapshots) {
+  constexpr VertexId kN = 3000;
+  constexpr std::size_t kChunk = 64;
+  ConnectivityEngine engine(kN);
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> wrong{0};
+  std::atomic<std::uint64_t> query_count{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      std::vector<VertexId> targets(kChunk);
+      std::vector<std::uint8_t> answers(kChunk);
+      std::uint64_t next = 0;
+      std::uint64_t q = 0;
+      std::uint64_t my_wrong = 0;
+      while (!done.load(std::memory_order_acquire) || q < 1000) {
+        const std::uint64_t e = engine.epoch();
+        for (VertexId& j : targets) {
+          const std::uint64_t x =
+              util::mix64(static_cast<std::uint64_t>(t), next++);
+          j = static_cast<VertexId>(
+              std::clamp<std::uint64_t>(e + x % 16, 8, kN + 7) - 8);
+        }
+        const auto lo = engine.snapshot();
+        for (std::size_t i = 0; i < kChunk; ++i)
+          answers[i] = engine.connected(0, targets[i]);
+        const auto hi = engine.snapshot();
+        for (std::size_t i = 0; i < kChunk; ++i) {
+          if (answers[i] ? !hi->connected(0, targets[i])
+                         : lo->connected(0, targets[i]))
+            ++my_wrong;
+        }
+        q += kChunk;
+      }
+      wrong.fetch_add(my_wrong, std::memory_order_relaxed);
+      query_count.fetch_add(q, std::memory_order_relaxed);
+    });
+  }
+  for (VertexId b = 1; b < kN; ++b)
+    engine.apply_batch(std::vector<Edge>{{0, b}});
+  done.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+  EXPECT_GT(query_count.load(), 0u);
+  EXPECT_EQ(wrong.load(), 0u) << "of " << query_count.load() << " queries";
 }
 
 }  // namespace
