@@ -265,8 +265,9 @@ void BM_CollectOngoingThreaded(benchmark::State& state) {
   auto arcs = core::arcs_from_input(el);
   core::ParentForest f(n);
   std::vector<std::uint64_t> scratch;
+  std::vector<graph::VertexId> ongoing;
   for (auto _ : state) {
-    auto ongoing = core::collect_ongoing(f, arcs, scratch);
+    core::collect_ongoing(f, arcs, scratch, ongoing);
     benchmark::DoNotOptimize(ongoing.size());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -2,9 +2,10 @@
 // query latency under concurrent readers, reported into the canonical
 // logcc-bench-v1 bench.json.
 //
-//   $ ./bench_serving --generate=gnm2:200000 --batch-edges=2000 \
-//                     --query-threads=4 [--verify-every=0] [--reps=3] \
+//   $ ./bench_serving --generate=gnm2:200000 --batch-edges=2000
+//                     --query-threads=4 [--verify-every=0] [--reps=3]
 //                     [--json=bench_serving.json]
+//   (one command line, wrapped here)
 //
 // The writer replays the generator edge stream batch by batch while
 // `query-threads` reader threads hammer connected(u, v) on random vertex

@@ -1,9 +1,10 @@
 // cc_bench — the unified benchmark driver and the canonical source of the
 // repo's perf trajectory (`bench.json`, schema "logcc-bench-v1").
 //
-//   $ ./cc_bench --generate=grid:5300000 --binary-cache=grid.bin \
-//                --algorithms=vanilla,theorem1,faster-cc,sv \
+//   $ ./cc_bench --generate=grid:5300000 --binary-cache=grid.bin
+//                --algorithms=vanilla,theorem1,faster-cc,sv
 //                --threads=1,2,8 --json=bench.json
+//   (one command line, wrapped here)
 //
 // One invocation: resolve a dataset (text/binary file, or a generator family
 // streamed to a binary CSR file and mmap-loaded back — the paper-scale
@@ -18,6 +19,7 @@
 #include <cinttypes>
 #include <cstring>
 #include <map>
+#include <optional>
 
 #include "bench_support.hpp"
 #include "util/parallel.hpp"
@@ -125,14 +127,18 @@ int main(int argc, char** argv) {
   // Validate the sweep flags BEFORE the (potentially minutes-long) dataset
   // streaming/loading: a typo must fail in milliseconds, not after the
   // 10^8-edge graph is on disk.
-  const std::vector<std::string> algorithms = split_csv(algorithms_arg);
-  for (const std::string& name : algorithms) {
-    bool known = false;
-    for (Algorithm a : all_algorithms()) known = known || name == to_string(a);
-    if (!known) {
-      std::fprintf(stderr, "cc_bench: unknown algorithm '%s'\n", name.c_str());
+  std::vector<Algorithm> algorithms;
+  for (const std::string& name : split_csv(algorithms_arg)) {
+    const std::optional<Algorithm> alg = algorithm_from_string(name);
+    if (!alg) {
+      std::fprintf(stderr, "cc_bench: unknown algorithm '%s'; valid:",
+                   name.c_str());
+      for (Algorithm a : all_algorithms())
+        std::fprintf(stderr, " %s", to_string(a));
+      std::fprintf(stderr, "\n");
       return 2;
     }
+    algorithms.push_back(*alg);
   }
   std::vector<int> threads;
   for (const std::string& t : split_csv(threads_arg)) {
@@ -225,8 +231,8 @@ int main(int argc, char** argv) {
                    "cc_bench: warning: requested %d threads, backend runs "
                    "%d (serial build?)\n",
                    t, effective);
-    for (const std::string& alg_name : algorithms) {
-      const Algorithm alg = algorithm_from_string(alg_name);
+    for (const Algorithm alg : algorithms) {
+      const std::string alg_name = to_string(alg);
       for (int rep = 0; rep < reps; ++rep) {
         Options opt;
         opt.seed = seed + 7919ULL * static_cast<std::uint64_t>(rep);

@@ -29,6 +29,7 @@
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
+#include <optional>
 
 #include "core/connectivity.hpp"
 #include "graph/binary_io.hpp"
@@ -93,6 +94,17 @@ int main(int argc, char** argv) {
       "SIGKILL mid-batch after this many durable appends (fault testing)");
   cli.finish();
 
+  const std::optional<Algorithm> rebuild_algorithm =
+      algorithm_from_string(algorithm_name);
+  if (!rebuild_algorithm) {
+    std::fprintf(stderr, "cc_serve: unknown --algorithm '%s'; valid:",
+                 algorithm_name.c_str());
+    for (Algorithm a : all_algorithms())
+      std::fprintf(stderr, " %s", to_string(a));
+    std::fprintf(stderr, "\n");
+    return 2;
+  }
+
   std::string family;
   std::uint64_t n = 0;
   std::uint64_t gseed = 1;
@@ -109,7 +121,7 @@ int main(int argc, char** argv) {
 
   serve::EngineOptions opts;
   opts.verify_every = verify_every;
-  opts.rebuild_algorithm = algorithm_from_string(algorithm_name);
+  opts.rebuild_algorithm = *rebuild_algorithm;
   opts.seed = seed;
   if (!wal_fsync_from_string(fsync_name, &opts.durability.wal.fsync)) {
     std::fprintf(stderr, "cc_serve: bad --fsync policy '%s'\n",

@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <unordered_set>
 
@@ -186,6 +187,16 @@ int main(int argc, char** argv) {
   int sketch_heavy = static_cast<int>(
       cli.get_int("sketch-heavy", 8, "heavy components to report"));
   cli.finish();
+
+  const std::optional<Algorithm> alg = algorithm_from_string(algorithm_name);
+  if (!alg) {
+    std::fprintf(stderr, "cc_tool: unknown --algorithm '%s'; valid:",
+                 algorithm_name.c_str());
+    for (Algorithm a : all_algorithms())
+      std::fprintf(stderr, " %s", to_string(a));
+    std::fprintf(stderr, "\n");
+    return 2;
+  }
 
   if (input.empty() && generate.empty()) {
     std::fprintf(stderr, "cc_tool: need --input or --generate (see --help)\n");
@@ -349,15 +360,14 @@ int main(int argc, char** argv) {
 
   Options opt;
   opt.seed = seed;
-  Algorithm alg = algorithm_from_string(algorithm_name);
-  auto r = connected_components(arcs, alg, opt);
+  auto r = connected_components(arcs, *alg, opt);
 
   std::printf("n=%llu m=%llu components=%llu algorithm=%s time=%.1fms "
               "(loaded via %s in %.1fms%s)\n",
               static_cast<unsigned long long>(arcs.num_vertices()),
               static_cast<unsigned long long>(arcs.num_edges()),
               static_cast<unsigned long long>(r.num_components()),
-              to_string(alg), r.seconds * 1e3, info.source.c_str(),
+              to_string(*alg), r.seconds * 1e3, info.source.c_str(),
               info.load_seconds * 1e3,
               arcs.csr_backed() ? ", csr-native" : "");
   if (show_stats) {

@@ -107,14 +107,6 @@ bool has_nonloop(const std::vector<BasicArc<V>>& arcs) {
   return found.load();
 }
 
-std::vector<VertexId> collect_ongoing(const ParentForest& forest,
-                                      const std::vector<Arc>& arcs,
-                                      std::vector<std::uint64_t>& first_seen) {
-  std::vector<VertexId> out;
-  collect_ongoing(forest, arcs, first_seen, out);
-  return out;
-}
-
 void collect_ongoing(const ParentForest& forest, const std::vector<Arc>& arcs,
                      std::vector<std::uint64_t>& first_seen,
                      std::vector<VertexId>& out) {
@@ -151,36 +143,19 @@ void collect_ongoing(const ParentForest& forest, const std::vector<Arc>& arcs,
                      [&](std::size_t i) { first_seen[out[i]] = kUnseenIndex; });
 }
 
-std::uint64_t count_ongoing(const ParentForest& forest,
-                            const std::vector<Arc>& arcs,
-                            std::vector<std::uint64_t>& first_seen) {
-  first_seen.resize(forest.size(), kUnseenIndex);
-  const std::size_t m2 = arcs.size() * 2;
-  auto endpoint = [&](std::size_t j) {
-    const Arc& a = arcs[j >> 1];
-    return (j & 1) ? a.v : a.u;
-  };
-  util::parallel_for(0, m2, [&](std::size_t j) {
-    const Arc& a = arcs[j >> 1];
+std::uint64_t mark_ongoing(std::uint64_t n, const std::vector<Arc>& arcs,
+                           std::vector<std::uint8_t>& flags) {
+  flags.assign(n, 0);
+  util::parallel_for(0, arcs.size(), [&](std::size_t i) {
+    const Arc& a = arcs[i];
     if (a.u == a.v) return;
-    util::atomic_min(first_seen[endpoint(j)],
-                     static_cast<std::uint64_t>(j));
+    util::relaxed_store(flags[a.u], std::uint8_t{1});
+    util::relaxed_store(flags[a.v], std::uint8_t{1});
   });
-  // Count-only: reduce over first occurrences instead of materializing the
-  // vertex list, then restore the scratch with idempotent stores.
-  const std::uint64_t count = util::parallel_reduce(
-      std::size_t{0}, m2, std::uint64_t{0},
-      [&](std::size_t j) -> std::uint64_t {
-        const Arc& a = arcs[j >> 1];
-        return (a.u != a.v && first_seen[endpoint(j)] == j) ? 1 : 0;
-      },
+  return util::parallel_reduce(
+      std::size_t{0}, n, std::uint64_t{0},
+      [&](std::size_t v) { return static_cast<std::uint64_t>(flags[v]); },
       [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  util::parallel_for(0, m2, [&](std::size_t j) {
-    const Arc& a = arcs[j >> 1];
-    if (a.u == a.v) return;
-    util::relaxed_store(first_seen[endpoint(j)], kUnseenIndex);
-  });
-  return count;
 }
 
 namespace {

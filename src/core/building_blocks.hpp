@@ -85,27 +85,25 @@ inline constexpr std::uint64_t kUnseenIndex = static_cast<std::uint64_t>(-1);
 /// (flat trees + ALTER guarantee this; checked in debug builds).
 /// Data-parallel: a fetch-min of the directed occurrence index per endpoint
 /// followed by a stable pack keeping each vertex at its minimum occurrence,
-/// so the output is identical for every thread count (and identical to the
-/// old serial sweep). `first_seen` is caller-owned scratch the phase loop
-/// hoists: all entries must be kUnseenIndex on entry and are restored
-/// before returning (by clearing only the touched entries), so each phase
-/// costs O(m) parallel work instead of an O(n) re-`assign`.
-std::vector<VertexId> collect_ongoing(const ParentForest& forest,
-                                      const std::vector<Arc>& arcs,
-                                      std::vector<std::uint64_t>& first_seen);
-
-/// Out-parameter form of collect_ongoing: `out` is clear()ed and refilled,
-/// so a phase loop that hoists it reuses its capacity — no per-phase
-/// allocation in steady state (part of the RoundArena zero-allocation
-/// property; see core/round_arena.hpp).
+/// so the output is identical for every thread count. `first_seen` is
+/// caller-owned scratch the phase loop hoists: all entries must be
+/// kUnseenIndex on entry and are restored before returning (by clearing
+/// only the touched entries), so each phase costs O(m) parallel work
+/// instead of an O(n) re-`assign`. `out` is clear()ed and refilled, so a
+/// phase loop that hoists it reuses its capacity — no per-phase allocation
+/// in steady state (part of the RoundArena zero-allocation property; see
+/// core/round_arena.hpp).
 void collect_ongoing(const ParentForest& forest, const std::vector<Arc>& arcs,
                      std::vector<std::uint64_t>& first_seen,
                      std::vector<VertexId>& out);
 
-/// Count-only variant of collect_ongoing, same scratch protocol.
-std::uint64_t count_ongoing(const ParentForest& forest,
-                            const std::vector<Arc>& arcs,
-                            std::vector<std::uint64_t>& first_seen);
+/// Byte-flag form of the same set: resizes `flags` to n and sets flags[v]
+/// to 1 iff v is an endpoint of a non-loop arc, 0 otherwise; returns how
+/// many are set. One pass of idempotent byte stores over the arcs plus a
+/// reduce over n, so the count is the same for every thread count. This is
+/// how PREPARE decides when to stop, and COMPACT which roots to rename.
+std::uint64_t mark_ongoing(std::uint64_t n, const std::vector<Arc>& arcs,
+                           std::vector<std::uint8_t>& flags);
 
 /// Guaranteed-convergent finisher (DESIGN.md §5.3): deterministic
 /// Boruvka-style min-label hooking + full flatten + ALTER until no non-loop

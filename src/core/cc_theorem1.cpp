@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/expand.hpp"
 #include "core/round_arena.hpp"
-#include "core/vanilla.hpp"
-#include "core/vote.hpp"
 #include "util/arena.hpp"
 #include "util/bitutil.hpp"
 #include "util/check.hpp"
@@ -33,18 +30,35 @@ Theorem1Params Theorem1Params::paper(std::uint64_t n, std::uint64_t m) {
   return p;
 }
 
+std::uint64_t Theorem1Params::phase_budget(std::uint64_t n,
+                                           std::uint64_t m0) const {
+  if (max_phases != 0) return max_phases;
+  return static_cast<std::uint64_t>(8.0 * util::loglog_density(n, m0)) + 24;
+}
+
+PhaseSizing Theorem1Params::size_phase(std::uint64_t n, std::uint64_t m0,
+                                       double n_prime,
+                                       std::uint64_t ongoing) const {
+  PhaseSizing out;
+  const double delta = std::max(2.0, static_cast<double>(m0) / n_prime);
+  out.b = std::max(2.0, std::pow(delta, b_exp));
+  out.expand.table_capacity = static_cast<std::uint32_t>(std::clamp<double>(
+      std::pow(delta, table_exp), min_table_capacity, double(1u << 22)));
+  const double block_size = std::max(4.0, std::pow(delta, block_exp));
+  out.expand.block_count = std::max<std::uint64_t>(
+      2 * ongoing + 1,
+      static_cast<std::uint64_t>(static_cast<double>(m0) / block_size));
+  out.expand.max_rounds = util::ceil_log2(std::max<std::uint64_t>(n, 2)) + 4;
+  out.vote.dormant_leader_prob = std::pow(out.b, -2.0 / 3.0);
+  return out;
+}
+
 void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
                      std::uint64_t m0, const Theorem1Params& params,
                      RunStats& stats) {
   const std::uint64_t n = forest.size();
   m0 = std::max<std::uint64_t>(m0, 1);
-
-  std::uint64_t max_phases = params.max_phases;
-  if (max_phases == 0) {
-    max_phases = static_cast<std::uint64_t>(
-                     8.0 * util::loglog_density(n, m0)) +
-                 24;
-  }
+  const std::uint64_t max_phases = params.phase_budget(n, m0);
 
   // ñ update rule state (§B.5) for the pure-ARBITRARY variant.
   double n_tilde = static_cast<double>(std::max<std::uint64_t>(n, 1));
@@ -70,27 +84,14 @@ void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
     const double n_prime = params.exact_count
                                ? static_cast<double>(ongoing.size())
                                : std::max(1.0, n_tilde);
-    const double delta = std::max(2.0, static_cast<double>(m0) / n_prime);
-    const double b = std::max(2.0, std::pow(delta, params.b_exp));
-
-    ExpandParams ep;
+    const PhaseSizing size = params.size_phase(n, m0, n_prime, ongoing.size());
+    ExpandParams ep = size.expand;
     ep.seed = util::mix64(params.seed, 0xE0 + phase);
-    ep.table_capacity = static_cast<std::uint32_t>(
-        std::clamp<double>(std::pow(delta, params.table_exp),
-                           params.min_table_capacity, double(1u << 22)));
-    const double block_size = std::max(4.0, std::pow(delta, params.block_exp));
-    ep.block_count =
-        std::max<std::uint64_t>(2 * ongoing.size() + 1,
-                                static_cast<std::uint64_t>(
-                                    static_cast<double>(m0) / block_size));
-    ep.max_rounds = util::ceil_log2(std::max<std::uint64_t>(n, 2)) + 4;
-    ep.keep_history = false;
 
     ExpandEngine expand(n, ongoing, arcs, ep, stats, &expand_scratch);
     expand.run();
 
-    VoteParams vp;
-    vp.dormant_leader_prob = std::pow(b, -2.0 / 3.0);
+    VoteParams vp = size.vote;
     vp.seed = util::mix64(params.seed, 0x40E + phase);
     vote(expand, vp, stats, leader);
 
@@ -141,7 +142,7 @@ void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
     drop_loops(arcs);
 
     // ñ update rule (§B.5): ñ := ñ / b^{1/4}.
-    n_tilde = std::max(1.0, n_tilde / std::pow(b, 0.25));
+    n_tilde = std::max(1.0, n_tilde / std::pow(size.b, 0.25));
   }
 
   // Round budget exhausted (vanishingly rare; bench T4 quantifies): finish
@@ -161,39 +162,10 @@ CcResult theorem1_cc(const graph::ArcsInput& in, const Theorem1Params& params) {
   dedup_arcs(arcs);
   const std::uint64_t m0 = std::max<std::uint64_t>(arcs.size(), 1);
 
-  // PREPARE (§B.2): densify with Vanilla while m/n' is below target.
-  if (has_nonloop(arcs)) {
-    double density = static_cast<double>(m0) /
-                     std::max<double>(1.0, static_cast<double>(n));
-    if (density < params.prepare_target_density) {
-      out.stats.prepare_used = true;
-      VanillaOptions vo;
-      vo.max_phases = 1;
-      const std::uint64_t phases_before = out.stats.phases;
-      std::uint64_t budget = params.prepare_max_phases;
-      if (budget == Theorem1Params::kAutoPreparePhases)
-        budget = static_cast<std::uint64_t>(
-                     2.0 * util::loglog_density(n, m0)) +
-                 4;
-      std::vector<std::uint64_t> seen_scratch;
-      std::vector<VertexId> ongoing;
-      std::uint64_t prepare_phases = 0;
-      while (prepare_phases < budget && has_nonloop(arcs)) {
-        util::scratch_arena_round_reset();
-        collect_ongoing(forest, arcs, seen_scratch, ongoing);
-        if (static_cast<double>(m0) /
-                std::max<double>(1.0, static_cast<double>(ongoing.size())) >=
-            params.prepare_target_density)
-          break;
-        vo.seed = util::mix64(params.seed, 0xAA00 + prepare_phases);
-        vanilla_phases(forest, arcs, vo, out.stats);
-        ++prepare_phases;
-      }
-      // Report densification separately from the theorem's phase loop.
-      out.stats.prepare_phases += out.stats.phases - phases_before;
-      out.stats.phases = phases_before;
-    }
-  }
+  // PREPARE (§B.2).
+  const PrepareRule rule{params.seed, 0xAA00, params.prepare_target_density,
+                         params.prepare_max_phases};
+  prepare(forest, arcs, m0, rule, out.stats);
 
   theorem1_phases(forest, arcs, m0, params, out.stats);
 

@@ -3,13 +3,10 @@
 #include <algorithm>
 
 #include "core/round_arena.hpp"
-#include "core/vanilla.hpp"
 #include "util/arena.hpp"
-#include "util/bitutil.hpp"
 #include "util/check.hpp"
 #include "util/hashing.hpp"
 #include "util/parallel.hpp"
-#include "util/random.hpp"
 #include "util/scan.hpp"
 
 namespace logcc::core {
@@ -76,47 +73,13 @@ CompactResult compact(const graph::ArcsInput& in, const CompactParams& params) {
   dedup_arcs(arcs);
   const std::uint64_t m0 = std::max<std::uint64_t>(arcs.size(), 1);
 
-  // PREPARE: Vanilla phases until density target or the phase budget.
-  std::uint64_t phases = 0;
-  std::uint64_t budget = params.prepare_max_phases;
-  if (budget == CompactParams::kAutoPreparePhases)
-    budget =
-        static_cast<std::uint64_t>(2.0 * util::loglog_density(n, m0)) + 4;
-  VanillaOptions vo;
-  vo.max_phases = 1;
-  std::vector<std::uint64_t> seen_scratch;  // reused by every phase
-  while (phases < budget && has_nonloop(arcs)) {
-    util::scratch_arena_round_reset();
-    std::uint64_t ongoing = count_ongoing(out.outer, arcs, seen_scratch);
-    if (static_cast<double>(m0) /
-            std::max<double>(1.0, static_cast<double>(ongoing)) >=
-        params.target_density)
-      break;
-    out.stats.prepare_used = true;
-    vo.seed = util::mix64(params.seed, 0xC0DE00 + phases);
-    vanilla_phases(out.outer, arcs, vo, out.stats);
-    ++phases;
-  }
-  // COMPACT's densification is PREPARE work, not theorem-loop phases.
-  out.stats.prepare_phases += out.stats.phases;
-  out.stats.phases = 0;
+  const PrepareRule rule{params.seed, 0xC0DE00, params.target_density,
+                         params.prepare_max_phases};
+  prepare(out.outer, arcs, m0, rule, out.stats);
 
-  // Rename ongoing roots via approximate compaction. The endpoint marks are
-  // idempotent stores; the count is a parallel reduce.
-  std::vector<std::uint8_t> ongoing_flag(n, 0);
-  util::parallel_for(0, arcs.size(), [&](std::size_t i) {
-    const Arc& a = arcs[i];
-    if (a.u == a.v) return;
-    util::relaxed_store(ongoing_flag[a.u], std::uint8_t{1});
-    util::relaxed_store(ongoing_flag[a.v], std::uint8_t{1});
-  });
-  const std::uint64_t k = util::parallel_reduce(
-      std::size_t{0}, n, std::uint64_t{0},
-      [&](std::size_t v) {
-        return static_cast<std::uint64_t>(ongoing_flag[v]);
-      },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
-
+  // Rename the ongoing roots via approximate compaction.
+  std::vector<std::uint8_t> ongoing_flag;
+  const std::uint64_t k = mark_ongoing(n, arcs, ongoing_flag);
   out.renamed_of.assign(n, CompactResult::kInvalid);
   if (k == 0) {
     out.n_compact = 0;

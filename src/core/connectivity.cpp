@@ -8,7 +8,6 @@
 #include "core/round_arena.hpp"
 #include "core/vanilla.hpp"
 #include "graph/graph_algos.hpp"
-#include "util/check.hpp"
 #include "util/timer.hpp"
 
 namespace logcc {
@@ -38,11 +37,10 @@ const char* to_string(Algorithm a) {
   return "?";
 }
 
-Algorithm algorithm_from_string(const std::string& name) {
+std::optional<Algorithm> algorithm_from_string(const std::string& name) {
   for (Algorithm a : all_algorithms())
     if (name == to_string(a)) return a;
-  LOGCC_CHECK_MSG(false, "unknown algorithm name");
-  return Algorithm::kBFS;
+  return std::nullopt;
 }
 
 ComponentsResult connected_components(const graph::ArcsInput& in,

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,8 +48,8 @@ enum class Algorithm {
 /// All algorithms, for sweeps.
 const std::vector<Algorithm>& all_algorithms();
 const char* to_string(Algorithm a);
-/// Parses the names printed by to_string; aborts on unknown names.
-Algorithm algorithm_from_string(const std::string& name);
+/// Parses the names printed by to_string; nullopt for any other name.
+std::optional<Algorithm> algorithm_from_string(const std::string& name);
 
 struct Options {
   std::uint64_t seed = 1;

@@ -161,17 +161,18 @@ CcResult64 faster_cc(const graph::ArcsInput64& in,
   dedup_arcs(arcs);
   // Each Vanilla phase removes (in expectation) a constant fraction of live
   // vertices, so this terminates in O(log n) phases; the cap/2 slack keeps
-  // the renamed vertex count (<= 2 * arcs) within the 32-bit space. One
-  // phase per call, so each call gets its own coin seed (as in COMPACT's
-  // PREPARE).
+  // the renamed vertex count (<= 2 * arcs) within the 32-bit space. The
+  // coins are COMPACT's PREPARE coins; only the stop rule differs.
   const std::uint64_t arc_target = std::max<std::uint64_t>(cap / 2, 1);
-  VanillaOptions vo;
-  vo.max_phases = 1;
-  for (std::uint64_t phase = 0; has_nonloop(arcs) && arcs.size() > arc_target;
-       ++phase) {
-    vo.seed = util::mix64(params.seed, 0xC0DE00 + phase);
-    vanilla_phases(forest, arcs, vo, out.stats);
-  }
+  PrepareRule coins;
+  coins.seed = params.seed;
+  coins.salt = 0xC0DE00;
+  const VanillaSchedule<VertexId64> schedule{
+      [&](std::uint64_t p) { return coins.coin_seed(p); },
+      [&](std::uint64_t, const std::vector<Arc64>& live) {
+        return live.size() <= arc_target;
+      }};
+  out.stats.phases += vanilla_loop(forest, arcs, schedule, out.stats);
   forest.flatten();
 
   // Rename surviving endpoints in first-appearance order (deterministic:

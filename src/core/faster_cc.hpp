@@ -7,7 +7,8 @@
 // The repeat loop halves the diameter every round (each root connects to
 // everything within distance 2, Lemma 3.20/D.24) while the level/budget
 // machinery keeps total space O(m); the additive log log term comes from
-// COMPACT's PREPARE and the postprocess.
+// COMPACT's PREPARE (the one shared with Theorems 1 and 2, in
+// core/vanilla.hpp) and the postprocess.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +30,10 @@ struct FasterCcParams {
   /// the ablation benches tweak growth/raise exponents/table shape here.
   std::optional<ParamPolicy> policy_override;
 
-  /// COMPACT / PREPARE density target (the paper's log^c n).
+  /// COMPACT's PREPARE rule: density target (the paper's log^c n) and
+  /// phase budget (PrepareRule::target_density and max_phases).
   double prepare_target_density = 64.0;
-  /// Sentinel = Θ(log log n) auto budget (see Theorem1Params).
-  static constexpr std::uint64_t kAutoPreparePhases =
-      static_cast<std::uint64_t>(-1);
-  std::uint64_t prepare_max_phases = kAutoPreparePhases;
+  std::uint64_t prepare_max_phases = PrepareRule::kAutoPhases;
 
   /// 0 = automatic: C·(log2 n + log log n) + K rounds before the
   /// deterministic finisher takes over.
@@ -53,11 +52,12 @@ CcResult faster_cc(const graph::ArcsInput& in,
 /// EXPAND-MAXLINK are narrow only, so an input whose vertex and edge counts
 /// both fit `narrow_threshold` (capped at the 32-bit limit) runs the narrow
 /// faster_cc directly, with labels bit-identical to a narrow run. A wider
-/// input first contracts with wide Vanilla phases until its arc list fits
-/// half the threshold, renames the surviving roots into a dense 32-bit
-/// space, finishes there with the narrow faster_cc, and maps the labels back
-/// through the wide forest. Tests lower `narrow_threshold` to force the
-/// contracting branch at small scale.
+/// input first contracts with the wide Vanilla loop, on COMPACT's coins but
+/// with its own stop rule (its arc list fits half the threshold), renames
+/// the surviving roots into a dense 32-bit space, finishes there with the
+/// narrow faster_cc, and maps the labels back through the wide forest.
+/// Tests lower `narrow_threshold` to force the contracting branch at small
+/// scale.
 CcResult64 faster_cc(
     const graph::ArcsInput64& in, const FasterCcParams& params = {},
     std::uint64_t narrow_threshold = std::numeric_limits<std::uint32_t>::max());

@@ -1,14 +1,12 @@
 #include "core/spanning_forest.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/expand.hpp"
 #include "core/round_arena.hpp"
 #include "core/vanilla.hpp"
 #include "core/vote.hpp"
 #include "util/arena.hpp"
-#include "util/bitutil.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/random.hpp"
@@ -176,42 +174,14 @@ SfResult theorem2_sf(const graph::ArcsInput& in,
   const std::uint64_t m0 = std::max<std::uint64_t>(arcs.size(), 1);
   std::vector<std::uint8_t> in_forest(in.num_edges(), 0);
 
+  // FOREST-PREPARE (§C.1).
+  const PrepareRule rule{params.seed, 0xF0AE57, params.prepare_target_density,
+                         params.prepare_max_phases};
+  prepare(forest, arcs, m0, rule, out.stats, &in_forest);
+
+  const std::uint64_t max_phases = params.phase_budget(n, m0);
   std::vector<std::uint64_t> seen_scratch;  // reused by every phase
   ExpandScratch expand_scratch;             // ditto (slot map + fill buffers)
-
-  // FOREST-PREPARE: Vanilla-SF densification.
-  if (has_nonloop(arcs)) {
-    std::uint64_t prepare_phases = 0;
-    const std::uint64_t phases_before = out.stats.phases;
-    std::uint64_t budget = params.prepare_max_phases;
-    if (budget == SpanningForestParams::kAutoPreparePhases)
-      budget =
-          static_cast<std::uint64_t>(2.0 * util::loglog_density(n, m0)) + 4;
-    VanillaOptions vo;
-    vo.max_phases = 1;
-    std::vector<VertexId> ongoing;
-    while (prepare_phases < budget && has_nonloop(arcs)) {
-      util::scratch_arena_round_reset();
-      collect_ongoing(forest, arcs, seen_scratch, ongoing);
-      if (static_cast<double>(m0) /
-              std::max<double>(1.0, static_cast<double>(ongoing.size())) >=
-          params.prepare_target_density)
-        break;
-      out.stats.prepare_used = true;
-      vo.seed = util::mix64(params.seed, 0xF0AE57 + prepare_phases);
-      vanilla_sf_phases(forest, arcs, in_forest, vo, out.stats);
-      ++prepare_phases;
-    }
-    out.stats.prepare_phases += out.stats.phases - phases_before;
-    out.stats.phases = phases_before;
-  }
-
-  std::uint64_t max_phases = params.max_phases;
-  if (max_phases == 0) {
-    max_phases =
-        static_cast<std::uint64_t>(8.0 * util::loglog_density(n, m0)) + 24;
-  }
-
   std::uint64_t phase = 0;
   std::vector<VertexId> ongoing;
   std::vector<std::uint8_t> leader;
@@ -229,28 +199,16 @@ SfResult theorem2_sf(const graph::ArcsInput& in,
     ++out.stats.phases;
 
     collect_ongoing(forest, arcs, seen_scratch, ongoing);
-    const double delta =
-        std::max(2.0, static_cast<double>(m0) /
-                          std::max<double>(1.0, static_cast<double>(ongoing.size())));
-    const double b = std::max(2.0, std::pow(delta, params.b_exp));
-
-    ExpandParams ep;
+    const double n_prime = static_cast<double>(ongoing.size());
+    const PhaseSizing size = params.size_phase(n, m0, n_prime, ongoing.size());
+    ExpandParams ep = size.expand;
     ep.seed = util::mix64(params.seed, 0x5F00 + phase);
-    ep.table_capacity = static_cast<std::uint32_t>(
-        std::clamp<double>(std::pow(delta, params.table_exp),
-                           params.min_table_capacity, double(1u << 22)));
-    const double block_size = std::max(4.0, std::pow(delta, params.block_exp));
-    ep.block_count = std::max<std::uint64_t>(
-        2 * ongoing.size() + 1,
-        static_cast<std::uint64_t>(static_cast<double>(m0) / block_size));
-    ep.max_rounds = util::ceil_log2(std::max<std::uint64_t>(n, 2)) + 4;
     ep.keep_history = true;  // TREE-LINK consumes H_j
 
     ExpandEngine expand(n, ongoing, arcs, ep, out.stats, &expand_scratch);
     expand.run();
 
-    VoteParams vp;
-    vp.dormant_leader_prob = std::pow(b, -2.0 / 3.0);
+    VoteParams vp = size.vote;
     vp.seed = util::mix64(params.seed, 0x5F0E + phase);
     vote(expand, vp, out.stats, leader);
 

@@ -14,6 +14,10 @@
 // β(w) = β(u) − 1, marking the original input arc (Lemma C.6 guarantees w
 // exists). The resulting trees are BFS trees of height ≤ d (Lemma C.8),
 // flattened by TREE-SHORTCUT.
+//
+// FOREST-PREPARE is the shared PREPARE (core/vanilla.hpp) recording the
+// input edge of every LINK, and each phase is sized by
+// Theorem1Params::size_phase, as in Theorem 1.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,10 @@
 #include "core/vanilla.hpp"
 
+#include <algorithm>
+
 #include "core/round_arena.hpp"
 #include "util/arena.hpp"
+#include "util/bitutil.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/random.hpp"
@@ -9,15 +12,11 @@
 
 namespace logcc::core {
 
-namespace {
-
-// Shared phase body; `mark` is a no-op for plain Vanilla and receives
-// (vertex, arc) for every winning MARK-EDGE in the SF variant.
-template <typename V, typename MarkFn>
-std::uint64_t run_phases(BasicParentForest<V>& forest,
-                         std::vector<BasicArc<V>>& arcs,
-                         const VanillaOptions& opt, RunStats& stats,
-                         MarkFn&& mark) {
+template <typename V>
+std::uint64_t vanilla_loop(BasicParentForest<V>& forest,
+                           std::vector<BasicArc<V>>& arcs,
+                           const VanillaSchedule<V>& schedule, RunStats& stats,
+                           std::vector<std::uint8_t>* in_forest) {
   using OrigId = typename BasicArc<V>::OrigId;
   const std::uint64_t n = forest.size();
   constexpr OrigId kNoArc = static_cast<OrigId>(-1);
@@ -27,18 +26,15 @@ std::uint64_t run_phases(BasicParentForest<V>& forest,
 
   std::uint64_t phases = 0;
   while (has_nonloop(arcs)) {
-    if (opt.max_phases && phases >= opt.max_phases) break;
     util::scratch_arena_round_reset();
+    if (schedule.stop(phases, arcs)) break;
+    const std::uint64_t coin = schedule.coin_seed(phases);
     ++phases;
-    ++stats.phases;
     stats.pram_steps += 5;  // vote, mark, link, shortcut, alter
 
-    // RANDOM-VOTE. Counter-based coins — mix64(seed, phase, v) — instead of
-    // a sequential RNG stream: every vertex's coin is its own function of
-    // (seed, phase), so the step parallelises with no cross-processor order
-    // and labels are bit-identical for every thread count.
+    // RANDOM-VOTE.
     util::parallel_for(0, n, [&](std::size_t v) {
-      leader[v] = util::mix64(opt.seed, phases, v) & 1;
+      leader[v] = util::mix64(coin, v) & 1;
     });
 
     // MARK-EDGE. The CRCW "arbitrary write wins" becomes a fetch-min on the
@@ -54,7 +50,7 @@ std::uint64_t run_phases(BasicParentForest<V>& forest,
         util::atomic_min(chosen[a.v], idx);
     });
     // LINK. Each v writes only its own parent; an arc realises at most one
-    // link (its endpoints need opposite coins), so `mark` targets are
+    // link (its endpoints need opposite coins), so the in_forest marks are
     // distinct too.
     util::parallel_for(0, n, [&](std::size_t v) {
       OrigId i = chosen[v];
@@ -63,18 +59,41 @@ std::uint64_t run_phases(BasicParentForest<V>& forest,
       const BasicArc<V>& a = arcs[i];
       V w = (a.u == static_cast<V>(v)) ? a.v : a.u;
       forest.set_parent(static_cast<V>(v), w);
-      mark(a);
+      if (in_forest) (*in_forest)[a.orig] = 1;
     });
     // SHORTCUT (one step suffices: link trees have height <= 2).
     forest.shortcut();
     // ALTER + loop cleanup.
     alter(arcs, forest);
     drop_loops(arcs);
-    if (opt.dedup) dedup_arcs(arcs);
+    dedup_arcs(arcs);
 
-    LOGCC_CHECK_MSG(stats.phases <= 100000, "Vanilla failed to converge");
+    LOGCC_CHECK_MSG(phases <= 100000, "Vanilla failed to converge");
   }
   return phases;
+}
+
+template std::uint64_t vanilla_loop(ParentForest&, std::vector<Arc>&,
+                                    const VanillaSchedule<VertexId>&, RunStats&,
+                                    std::vector<std::uint8_t>*);
+template std::uint64_t vanilla_loop(ParentForest64&, std::vector<Arc64>&,
+                                    const VanillaSchedule<VertexId64>&,
+                                    RunStats&, std::vector<std::uint8_t>*);
+
+namespace {
+
+// vanilla_phases' schedule: coins mix64(seed, p + 1, v), at most max_phases
+// phases when it is set.
+template <typename V>
+VanillaSchedule<V> schedule_of(const VanillaOptions& opt) {
+  VanillaSchedule<V> schedule;
+  schedule.coin_seed = [opt](std::uint64_t p) {
+    return util::mix64(opt.seed, p + 1);
+  };
+  schedule.stop = [opt](std::uint64_t p, const std::vector<BasicArc<V>>&) {
+    return opt.max_phases != 0 && p >= opt.max_phases;
+  };
+  return schedule;
 }
 
 template <typename V>
@@ -100,7 +119,10 @@ template <typename V>
 std::uint64_t vanilla_phases(BasicParentForest<V>& forest,
                              std::vector<BasicArc<V>>& arcs,
                              const VanillaOptions& opt, RunStats& stats) {
-  return run_phases(forest, arcs, opt, stats, [](const BasicArc<V>&) {});
+  const std::uint64_t phases =
+      vanilla_loop(forest, arcs, schedule_of<V>(opt), stats);
+  stats.phases += phases;
+  return phases;
 }
 
 template std::uint64_t vanilla_phases(ParentForest&, std::vector<Arc>&,
@@ -108,11 +130,27 @@ template std::uint64_t vanilla_phases(ParentForest&, std::vector<Arc>&,
 template std::uint64_t vanilla_phases(ParentForest64&, std::vector<Arc64>&,
                                       const VanillaOptions&, RunStats&);
 
-std::uint64_t vanilla_sf_phases(ParentForest& forest, std::vector<Arc>& arcs,
-                                std::vector<std::uint8_t>& in_forest,
-                                const VanillaOptions& opt, RunStats& stats) {
-  return run_phases(forest, arcs, opt, stats,
-                    [&](const Arc& a) { in_forest[a.orig] = 1; });
+std::uint64_t prepare(ParentForest& forest, std::vector<Arc>& arcs,
+                      std::uint64_t m0, const PrepareRule& rule,
+                      RunStats& stats, std::vector<std::uint8_t>* in_forest) {
+  const std::uint64_t n = forest.size();
+  const std::uint64_t budget =
+      rule.max_phases == PrepareRule::kAutoPhases
+          ? static_cast<std::uint64_t>(2.0 * util::loglog_density(n, m0)) + 4
+          : rule.max_phases;
+  std::vector<std::uint8_t> ongoing;  // mark_ongoing's flags, reused
+  VanillaSchedule<VertexId> schedule;
+  schedule.coin_seed = [&](std::uint64_t p) { return rule.coin_seed(p); };
+  schedule.stop = [&](std::uint64_t p, const std::vector<Arc>& live) {
+    if (p >= budget) return true;
+    const double k = static_cast<double>(mark_ongoing(n, live, ongoing));
+    return static_cast<double>(m0) / std::max(1.0, k) >= rule.target_density;
+  };
+  const std::uint64_t phases =
+      vanilla_loop(forest, arcs, schedule, stats, in_forest);
+  stats.prepare_phases += phases;
+  stats.prepare_used = stats.prepare_used || phases > 0;
+  return phases;
 }
 
 CcResult vanilla_cc(const graph::ArcsInput& in, std::uint64_t seed) {
@@ -133,7 +171,8 @@ VanillaSfResult vanilla_sf(const graph::ArcsInput& in, std::uint64_t seed) {
   std::vector<std::uint8_t> in_forest(in.num_edges(), 0);
   VanillaOptions opt;
   opt.seed = seed;
-  vanilla_sf_phases(forest, arcs, in_forest, opt, out.stats);
+  out.stats.phases += vanilla_loop(forest, arcs, schedule_of<VertexId>(opt),
+                                   out.stats, &in_forest);
   for (std::uint64_t i = 0; i < in_forest.size(); ++i)
     if (in_forest[i]) out.forest_edges.push_back(i);
   return out;

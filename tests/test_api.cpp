@@ -66,8 +66,10 @@ TEST(Api, AlgorithmNamesRoundTrip) {
     EXPECT_EQ(algorithm_from_string(to_string(alg)), alg);
 }
 
-TEST(ApiDeath, UnknownAlgorithmNameAborts) {
-  EXPECT_DEATH((void)algorithm_from_string("bogus"), "unknown algorithm");
+TEST(Api, UnknownAlgorithmNameIsNullopt) {
+  EXPECT_EQ(algorithm_from_string("bogus"), std::nullopt);
+  EXPECT_EQ(algorithm_from_string(""), std::nullopt);
+  EXPECT_EQ(algorithm_from_string("Faster-CC"), std::nullopt);
 }
 
 TEST(Api, SpanningForestBothAlgorithms) {

@@ -60,6 +60,31 @@ TEST(HasNonloop, Detects) {
   EXPECT_FALSE(has_nonloop({}));
 }
 
+TEST(MarkOngoing, FlagsEndpointsOfNonloopArcs) {
+  const std::vector<Arc> arcs{{0, 1, 0}, {2, 2, 1}, {3, 1, 2}};
+  std::vector<std::uint8_t> flags{7, 7};  // stale contents are cleared
+  EXPECT_EQ(mark_ongoing(5, arcs, flags), 3u);
+  EXPECT_EQ(flags, (std::vector<std::uint8_t>{1, 1, 0, 1, 0}));
+  EXPECT_EQ(mark_ongoing(5, {}, flags), 0u);
+  EXPECT_EQ(flags, std::vector<std::uint8_t>(5, 0));
+}
+
+TEST(MarkOngoing, FlagsWhatCollectOngoingLists) {
+  // Large enough for the parallel store pass and reduce; the isolated
+  // vertices of a sparse G(n, m) must stay unflagged.
+  const auto el = graph::make_gnm(20000, 15000, 4);
+  const auto arcs = arcs_from_input(el);
+  ParentForest f(el.n);
+  std::vector<std::uint64_t> seen;
+  std::vector<VertexId> ongoing;
+  collect_ongoing(f, arcs, seen, ongoing);
+  std::vector<std::uint8_t> flags;
+  const std::uint64_t k = mark_ongoing(el.n, arcs, flags);
+  EXPECT_EQ(k, ongoing.size());
+  EXPECT_LT(k, el.n);
+  for (VertexId v : ongoing) EXPECT_EQ(flags[v], 1u) << v;
+}
+
 TEST(DeterministicContract, SolvesZoo) {
   for (const auto& [name, el] : logcc::testing::small_zoo()) {
     ParentForest f(el.n);

@@ -131,10 +131,13 @@ TEST(Expand, DormantRoundMonotonicity) {
     std::uint32_t dr = h.engine->dormant_round(s);
     if (dr == ExpandEngine::kNeverDormant) continue;
     EXPECT_LE(dr, h.engine->rounds());
-    if (!h.engine->owns_block(s)) EXPECT_EQ(dr, 0u);
+    if (!h.engine->owns_block(s)) {
+      EXPECT_EQ(dr, 0u);
+    }
     // live_in_round consistency.
-    if (h.engine->owns_block(s) && dr > 0)
+    if (h.engine->owns_block(s) && dr > 0) {
       EXPECT_TRUE(h.engine->live_in_round(s, dr - 1));
+    }
     EXPECT_FALSE(h.engine->live_in_round(s, dr));
   }
 }

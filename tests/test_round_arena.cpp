@@ -28,16 +28,25 @@ namespace {
 std::atomic<std::uint64_t> g_new_calls{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// All of them stay out of line, so the compiler sees every allocation and
+// release as a call to its own operator; inlined, a free() would meet a
+// pointer from operator new and be reported as a mismatched pair.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace logcc::core {
 namespace {

@@ -233,7 +233,9 @@ TEST(WideIndex, V2RoundTripRunsAllThreeWideAlgorithmsBitCompatibly) {
 
   const auto wv = core::vanilla_cc(wide_in, 5);
   const auto wu = baselines::union_find_cc(wide_in);
-  const auto wf = core::faster_cc(wide_in, {.seed = 5});
+  core::FasterCcParams fp;
+  fp.seed = 5;
+  const auto wf = core::faster_cc(wide_in, fp);
 
   // Narrow reference: same file's graph, materialized.
   graph::EdgeList el;
