@@ -264,10 +264,10 @@ void BM_CollectOngoingThreaded(benchmark::State& state) {
   auto el = graph::make_gnm(n, 4 * n, 7);
   auto arcs = core::arcs_from_input(el);
   core::ParentForest f(n);
-  std::vector<std::uint64_t> scratch;
+  std::vector<std::uint8_t> flags;
   std::vector<graph::VertexId> ongoing;
   for (auto _ : state) {
-    core::collect_ongoing(f, arcs, scratch, ongoing);
+    core::collect_ongoing(f, arcs, flags, ongoing);
     benchmark::DoNotOptimize(ongoing.size());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -288,9 +288,11 @@ void BM_GroupByThreaded(benchmark::State& state) {
     items[i] = {static_cast<std::uint32_t>(util::mix64(5, i) % num_keys),
                 static_cast<std::uint32_t>(i)};
   std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
+  std::vector<std::size_t> off(num_keys + 1);
   for (auto _ : state) {
-    auto off = util::parallel_group_by(
-        items, out, num_keys, [](const auto& p) { return p.first; });
+    util::parallel_group_by_into(
+        items, out, num_keys, [](const auto& p) { return p.first; },
+        std::span<std::size_t>(off));
     benchmark::DoNotOptimize(off.back());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
@@ -353,9 +355,10 @@ void BM_VoteThreaded(benchmark::State& state) {
   core::VoteParams vp;
   vp.dormant_leader_prob = 0.3;
   vp.seed = 3;
+  std::vector<std::uint8_t> leader;
   for (auto _ : state) {
     core::RunStats s;
-    auto leader = core::vote(engine, vp, s);
+    core::vote(engine, vp, s, leader);
     benchmark::DoNotOptimize(leader.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 
+#include "core/labels.hpp"
 #include "util/arena.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
@@ -46,23 +47,6 @@ std::vector<LtVariant> lt_incorrect_variants() {
 }
 
 namespace {
-
-/// One synchronous SHORTCUT step, fused with the change flag: next[v] =
-/// p[p[v]] for every v, true iff anything moved. (The map runs exactly once
-/// per index — parallel_reduce's single-pass contract.)
-bool shortcut_step(std::vector<VertexId>& p, std::vector<VertexId>& next) {
-  const std::uint64_t n = p.size();
-  const bool moved = util::parallel_reduce(
-      std::size_t{0}, static_cast<std::size_t>(n), false,
-      [&](std::size_t v) {
-        const VertexId t = p[p[v]];
-        next[v] = t;
-        return t != p[v];
-      },
-      [](bool a, bool b) { return a || b; });
-  p.swap(next);
-  return moved;
-}
 
 /// Edge lists big enough that the bucketed dedup amortises its partition
 /// passes. Chosen by size only — never by thread count — so a given input
@@ -207,7 +191,7 @@ BaselineResult liu_tarjan_variant(const graph::ArcsInput& in,
 
     // Shortcut.
     if (variant.shortcut == LtShortcut::kSingle) {
-      changed = shortcut_step(p, next) || changed;
+      changed = core::shortcut_step(p, next) || changed;
     } else {
       // Full flatten. Every inner SHORTCUT step is a PRAM step; count each
       // beyond the first so "-F" rounds stay comparable to "-S" rounds
@@ -215,7 +199,7 @@ BaselineResult liu_tarjan_variant(const graph::ArcsInput& in,
       bool more = true;
       bool first = true;
       while (more) {
-        more = shortcut_step(p, next);
+        more = core::shortcut_step(p, next);
         changed = changed || more;
         if (!first && more) ++out.rounds;
         first = false;

@@ -7,7 +7,11 @@
 // library also ships a Practical policy with the same *structure* —
 // double-exponential budget growth, polynomially-small raise probability —
 // but exponents calibrated so the behaviour is observable at laptop scale.
-// DESIGN.md §5 documents this substitution.
+// The substitution cannot change an answer: levels and budgets only steer
+// how fast roots merge, and every Theorem-3 run ends in Theorem 1's phase
+// loop, whose deterministic finisher takes over if its budget runs out. So
+// the policy moves round counts and space, never the partition the labels
+// describe.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "core/building_blocks.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <limits>
 
@@ -80,69 +79,6 @@ std::uint64_t drop_loops(std::vector<BasicArc<V>>& arcs) {
                              [](const BasicArc<V>& a) { return a.u != a.v; });
 }
 
-template <typename V>
-bool has_nonloop(const std::vector<BasicArc<V>>& arcs) {
-  const std::size_t n = arcs.size();
-  if (n < util::kSerialGrain) {
-    for (const BasicArc<V>& a : arcs)
-      if (a.u != a.v) return true;
-    return false;
-  }
-  // Blocked OR with early exit: phase loops call this right after
-  // drop_loops, so the answer is usually decided by the very first arc —
-  // blocks bail as soon as any worker finds a witness.
-  const std::size_t blocks = util::scan_block_count(n);
-  std::atomic<bool> found{false};
-  util::parallel_for_blocks(blocks, [&](std::size_t b) {
-    if (found.load(std::memory_order_relaxed)) return;
-    const std::size_t hi = util::detail::block_begin(n, blocks, b + 1);
-    for (std::size_t i = util::detail::block_begin(n, blocks, b); i < hi;
-         ++i) {
-      if (arcs[i].u != arcs[i].v) {
-        found.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  });
-  return found.load();
-}
-
-void collect_ongoing(const ParentForest& forest, const std::vector<Arc>& arcs,
-                     std::vector<std::uint64_t>& first_seen,
-                     std::vector<VertexId>& out) {
-  first_seen.resize(forest.size(), kUnseenIndex);
-  const std::size_t m2 = arcs.size() * 2;
-  auto endpoint = [&](std::size_t j) {
-    const Arc& a = arcs[j >> 1];
-    return (j & 1) ? a.v : a.u;
-  };
-  // Fetch-min of the directed occurrence index per endpoint, then a stable
-  // segmented pack keeping each vertex at its first occurrence — the output
-  // is in first-appearance order, exactly what the serial sweep produced.
-  util::parallel_for(0, m2, [&](std::size_t j) {
-    const Arc& a = arcs[j >> 1];
-    if (a.u == a.v) return;
-    util::atomic_min(first_seen[endpoint(j)],
-                     static_cast<std::uint64_t>(j));
-  });
-  util::parallel_emit(
-      m2, out,
-      [&](std::size_t j) -> std::size_t {
-        const Arc& a = arcs[j >> 1];
-        return (a.u != a.v && first_seen[endpoint(j)] == j) ? 1 : 0;
-      },
-      [&](std::size_t j, VertexId* dst) {
-        VertexId v = endpoint(j);
-        LOGCC_DCHECK(forest.is_root(v));
-        (void)forest;
-        *dst = v;
-      });
-  // Restore the scratch to all-kUnseenIndex by clearing only touched
-  // entries (every written entry appears in `out` exactly once).
-  util::parallel_for(0, out.size(),
-                     [&](std::size_t i) { first_seen[out[i]] = kUnseenIndex; });
-}
-
 std::uint64_t mark_ongoing(std::uint64_t n, const std::vector<Arc>& arcs,
                            std::vector<std::uint8_t>& flags) {
   flags.assign(n, 0);
@@ -156,6 +92,18 @@ std::uint64_t mark_ongoing(std::uint64_t n, const std::vector<Arc>& arcs,
       std::size_t{0}, n, std::uint64_t{0},
       [&](std::size_t v) { return static_cast<std::uint64_t>(flags[v]); },
       [](std::uint64_t a, std::uint64_t b) { return a + b; });
+}
+
+void collect_ongoing(const ParentForest& forest, const std::vector<Arc>& arcs,
+                     std::vector<std::uint8_t>& flags,
+                     std::vector<VertexId>& out) {
+  mark_ongoing(forest.size(), arcs, flags);
+  util::parallel_emit(
+      flags.size(), out, [&](std::size_t v) -> std::size_t { return flags[v]; },
+      [&](std::size_t v, VertexId* dst) {
+        LOGCC_DCHECK(forest.is_root(static_cast<VertexId>(v)));
+        *dst = static_cast<VertexId>(v);
+      });
 }
 
 namespace {
@@ -173,23 +121,15 @@ bool arc_same_pair(const BasicArc<V>& a, const BasicArc<V>& b) {
   return a.u == b.u && a.v == b.v;
 }
 
-/// Serial dedup path (and the semantics contract for the bucketed path):
-/// normalize u <= v, then keep the minimum-orig arc per (u, v) pair.
-template <typename V>
-void dedup_serial(std::vector<BasicArc<V>>& arcs) {
-  std::sort(arcs.begin(), arcs.end(), arc_less<V>);
-  arcs.erase(std::unique(arcs.begin(), arcs.end(), arc_same_pair<V>),
-             arcs.end());
-}
-
-// Arc lists big enough that the bucketed path amortises its two extra
-// passes. Chosen by size only — never by thread count or index width — so
-// a given input always takes the same path and yields the same output (see
-// scan.hpp on the determinism contract).
+// Arc lists below this size form one bucket: below it the partition's
+// parallel passes cost more than they save. The bucket count is chosen by
+// size only — never by thread count or index width — so a given input
+// always yields the same output (see scan.hpp on the determinism contract).
 constexpr std::size_t kDedupBucketCutoff = 4 * util::kSerialGrain;
 
 std::size_t dedup_bucket_count(std::size_t n) {
   std::size_t buckets = 1;
+  if (n < kDedupBucketCutoff) return buckets;
   while (buckets < 256 && buckets * util::kSerialGrain < n) buckets <<= 1;
   return buckets;
 }
@@ -226,25 +166,32 @@ std::size_t dedup_bucket(BasicArc<V>* a, std::size_t n) {
   return static_cast<std::size_t>(end - a);
 }
 
-/// Bucket-partitioned dedup: scatter arcs by mix64(u) high bits (all copies
-/// of a pair share u after normalization, hence a bucket), sort + unique
-/// each bucket independently (dedup_bucket above), then pack the survivors
-/// back. Output order is bucket-major — deterministic, but different from
-/// the fully sorted serial path, which is why the path choice above keys on
-/// size alone. All staging lives in arena scratch (round arena on the
-/// dispatcher, lane arenas on workers), so a steady-state round's dedup
-/// performs no heap allocation.
+}  // namespace
+
+// Normalize u <= v, scatter arcs by mix64(u) high bits (all copies of a
+// pair share u after normalization, hence a bucket), sort + unique each
+// bucket independently (dedup_bucket above), then pack the survivors back.
+// Output order is bucket-major; one bucket is plain (u, v) order. All
+// staging lives in arena scratch (round arena on the dispatcher, lane
+// arenas on workers), so a steady-state round's dedup performs no heap
+// allocation.
 template <typename V>
-void dedup_bucketed(std::vector<BasicArc<V>>& arcs) {
+void dedup_arcs(std::vector<BasicArc<V>>& arcs) {
+  util::parallel_for(0, arcs.size(), [&](std::size_t i) {
+    BasicArc<V>& a = arcs[i];
+    if (a.u > a.v) std::swap(a.u, a.v);
+  });
   const std::size_t n = arcs.size();
   const std::size_t buckets = dedup_bucket_count(n);
-  const int shift = 64 - std::countr_zero(buckets);
+  // The top k bits of mix64(u) for 2^k buckets, written as two shifts so
+  // that one bucket (k = 0) maps to 0 instead of shifting by 64.
+  const int shift = 63 - std::countr_zero(buckets);
   util::ScratchBuffer<BasicArc<V>> scattered(n);
   util::ScratchBuffer<std::size_t> bucket_begin(buckets + 1);
   util::parallel_bucket_partition_into(
       arcs.data(), n, scattered.data(), bucket_begin.span(), buckets,
       [shift](const BasicArc<V>& a) {
-        return static_cast<std::size_t>(util::mix64(a.u) >> shift);
+        return static_cast<std::size_t>((util::mix64(a.u) >> 1) >> shift);
       });
 
   // Sort + unique each bucket in place; record surviving sizes.
@@ -264,29 +211,12 @@ void dedup_bucketed(std::vector<BasicArc<V>>& arcs) {
   });
 }
 
-}  // namespace
-
-template <typename V>
-void dedup_arcs(std::vector<BasicArc<V>>& arcs) {
-  util::parallel_for(0, arcs.size(), [&](std::size_t i) {
-    BasicArc<V>& a = arcs[i];
-    if (a.u > a.v) std::swap(a.u, a.v);
-  });
-  if (arcs.size() < kDedupBucketCutoff) {
-    dedup_serial(arcs);
-  } else {
-    dedup_bucketed(arcs);
-  }
-}
-
 template void alter(std::vector<Arc>&, const ParentForest&);
 template void alter(std::vector<Arc64>&, const ParentForest64&);
 template std::uint64_t drop_loops(std::vector<Arc>&);
 template std::uint64_t drop_loops(std::vector<Arc64>&);
 template void dedup_arcs(std::vector<Arc>&);
 template void dedup_arcs(std::vector<Arc64>&);
-template bool has_nonloop(const std::vector<Arc>&);
-template bool has_nonloop(const std::vector<Arc64>&);
 
 namespace {
 
@@ -301,7 +231,7 @@ std::uint64_t contract_impl(ParentForest& forest, std::vector<Arc>& arcs,
   constexpr std::uint32_t kNoArc = static_cast<std::uint32_t>(-1);
   std::vector<std::uint64_t> best;  // (candidate parent << 32) | arc index
   std::uint64_t rounds = 0;
-  while (has_nonloop(arcs)) {
+  while (!arcs.empty()) {
     util::scratch_arena_round_reset();
     ++rounds;
     ++stats.phases;

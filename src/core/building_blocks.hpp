@@ -1,9 +1,15 @@
-// The paper's four building blocks (§2.2) over an arc list:
+// The paper's four building blocks (§2.2), each implemented once:
 //
-//   * ALTER        — replace every edge {v,w} by {v.p, w.p};
+//   * ALTER        — replace every edge {v,w} by {v.p, w.p} (here, with
+//                    drop_loops and dedup_arcs, the arc-list upkeep after it);
 //   * direct LINK / parent LINK — applied inside the algorithm drivers;
-//   * SHORTCUT     — lives on ParentForest (labels.hpp);
+//   * SHORTCUT     — core::shortcut_step (labels.hpp), the one synchronous
+//                    step that ParentForest, the serving engine, the sketch
+//                    tier's StreamStats and the Liu–Tarjan lab all run;
 //   * expansion    — lives in hash_table/expand/expand_maxlink.
+//
+// Plus the phase's ongoing-root set (mark_ongoing / collect_ongoing), which
+// PREPARE, COMPACT and the Theorem 1 and 2 phase loops share.
 //
 // Arcs carry the index of the original input edge they were altered from
 // (`orig`), which is what lets the spanning-forest algorithm mark tree edges
@@ -49,67 +55,59 @@ std::vector<Arc> arcs_from_input(const graph::ArcsInput& in);
 std::vector<Arc64> arcs_from_input(const graph::ArcsInput64& in);
 
 // The building blocks below are templates over the vertex width,
-// instantiated for VertexId and VertexId64 in building_blocks.cpp. V
-// defaults to the narrow width, which a braced-list argument (say
-// `has_nonloop({})`) cannot deduce.
+// instantiated for VertexId and VertexId64 in building_blocks.cpp.
 
 /// ALTER: every arc (u, v) becomes (u.p, v.p); `orig` is preserved.
 /// Data-parallel map over the arcs.
-template <typename V = VertexId>
+template <typename V>
 void alter(std::vector<BasicArc<V>>& arcs, const BasicParentForest<V>& forest);
 
 /// Drops self-loop arcs (u == v) with a stable parallel pack. Returns the
 /// number removed.
-template <typename V = VertexId>
+template <typename V>
 std::uint64_t drop_loops(std::vector<BasicArc<V>>& arcs);
 
 /// Dedup on (u, v) treating arcs as undirected; keeps the minimum `orig`
-/// per surviving pair. Controls arc-list growth after ALTERs. Small lists
-/// sort+unique serially; large ones bucket-partition by mix64(u) high bits
-/// and sort buckets in parallel. The path is chosen by size only, so for a
-/// given input the output (including its order) is identical on every
-/// thread count — and on both widths, for ids that fit both.
-template <typename V = VertexId>
+/// per surviving pair. Controls arc-list growth after ALTERs. One path for
+/// every size: bucket-partition by mix64(u) high bits, then sort + unique
+/// each bucket in parallel. Lists below 16,384 arcs form one bucket, so
+/// their output is fully (u, v)-sorted. The bucket count is a function of
+/// the size only, so for a given input the output (including its order) is
+/// identical on every thread count — and on both widths, for ids that fit
+/// both.
+template <typename V>
 void dedup_arcs(std::vector<BasicArc<V>>& arcs);
 
-/// True iff some arc is not a self-loop — the paper's "no edge exists other
-/// than loops" break condition, negated.
-template <typename V = VertexId>
-bool has_nonloop(const std::vector<BasicArc<V>>& arcs);
-
-/// Sentinel for the collect_ongoing scratch: "vertex not yet seen".
-inline constexpr std::uint64_t kUnseenIndex = static_cast<std::uint64_t>(-1);
-
-/// Distinct endpoints of non-loop arcs — the "ongoing" vertices of a phase,
-/// in first-appearance order over the directed arc sweep. All must be roots
-/// (flat trees + ALTER guarantee this; checked in debug builds).
-/// Data-parallel: a fetch-min of the directed occurrence index per endpoint
-/// followed by a stable pack keeping each vertex at its minimum occurrence,
-/// so the output is identical for every thread count. `first_seen` is
-/// caller-owned scratch the phase loop hoists: all entries must be
-/// kUnseenIndex on entry and are restored before returning (by clearing
-/// only the touched entries), so each phase costs O(m) parallel work
-/// instead of an O(n) re-`assign`. `out` is clear()ed and refilled, so a
-/// phase loop that hoists it reuses its capacity — no per-phase allocation
-/// in steady state (part of the RoundArena zero-allocation property; see
-/// core/round_arena.hpp).
-void collect_ongoing(const ParentForest& forest, const std::vector<Arc>& arcs,
-                     std::vector<std::uint64_t>& first_seen,
-                     std::vector<VertexId>& out);
-
-/// Byte-flag form of the same set: resizes `flags` to n and sets flags[v]
-/// to 1 iff v is an endpoint of a non-loop arc, 0 otherwise; returns how
-/// many are set. One pass of idempotent byte stores over the arcs plus a
-/// reduce over n, so the count is the same for every thread count. This is
-/// how PREPARE decides when to stop, and COMPACT which roots to rename.
+/// Byte-flag ongoing set: resizes `flags` to n and sets flags[v] to 1 iff v
+/// is an endpoint of a non-loop arc — the "ongoing" vertices of a phase —
+/// and 0 otherwise; returns how many are set. One pass of idempotent byte
+/// stores over the arcs plus a reduce over n, so the count is the same for
+/// every thread count. This is how PREPARE decides when to stop, and
+/// COMPACT which roots to rename.
 std::uint64_t mark_ongoing(std::uint64_t n, const std::vector<Arc>& arcs,
                            std::vector<std::uint8_t>& flags);
 
-/// Guaranteed-convergent finisher (DESIGN.md §5.3): deterministic
-/// Boruvka-style min-label hooking + full flatten + ALTER until no non-loop
-/// arc remains. O(log n) rounds worst case, no randomness. Used when a
-/// randomized driver exhausts its round budget, and as the last stage of
-/// Theorem-3 runs. Returns the number of rounds.
+/// The same set as a list in id order: mark_ongoing into `flags`, then one
+/// stable pack of the flagged ids over n. All must be roots (flat trees +
+/// ALTER guarantee this; checked in debug builds). `flags` is the phase
+/// loop's hoisted scratch; `out` is clear()ed and refilled, so a phase loop
+/// that hoists both reuses their capacity — no per-phase allocation in
+/// steady state (part of the RoundArena zero-allocation property; see
+/// core/round_arena.hpp). The order does not reach any result: every
+/// per-slot quantity of EXPAND, VOTE, LINK and TREE-LINK is keyed by vertex
+/// id, and each table's inserts follow arc order.
+void collect_ongoing(const ParentForest& forest, const std::vector<Arc>& arcs,
+                     std::vector<std::uint8_t>& flags,
+                     std::vector<VertexId>& out);
+
+/// Guaranteed-convergent finisher: deterministic Boruvka-style min-label
+/// hooking + full flatten + ALTER until no arc remains. O(log n) rounds
+/// worst case, no randomness. The randomized drivers bound their phase
+/// count only with high probability (with the practical exponents, not
+/// provably at all); the finisher turns an unlucky run into extra rounds
+/// instead of a wrong answer or an endless loop. Used when a randomized
+/// driver exhausts its round budget, and as the last stage of Theorem-3
+/// runs. Returns the number of rounds.
 std::uint64_t deterministic_contract(ParentForest& forest,
                                      std::vector<Arc>& arcs, RunStats& stats);
 

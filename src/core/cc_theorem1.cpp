@@ -63,10 +63,11 @@ void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
   // ñ update rule state (§B.5) for the pure-ARBITRARY variant.
   double n_tilde = static_cast<double>(std::max<std::uint64_t>(n, 1));
 
-  std::vector<std::uint64_t> seen_scratch;  // reused by every phase
-  ExpandScratch expand_scratch;             // ditto (slot map + fill buffers)
-  // Hoisted per-phase buffers (ongoing set, leader flags, LINK choices):
-  // steady-state phases reuse their capacity instead of allocating.
+  ExpandScratch expand_scratch;  // reused by every phase (slot map + fill)
+  // Hoisted per-phase buffers (ongoing flags and set, leader flags, LINK
+  // choices): steady-state phases reuse their capacity instead of
+  // allocating.
+  std::vector<std::uint8_t> ongoing_flags;
   std::vector<VertexId> ongoing;
   std::vector<std::uint8_t> leader;
   std::vector<VertexId> chosen;
@@ -75,12 +76,12 @@ void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
     util::scratch_arena_round_reset();
     dedup_arcs(arcs);
     drop_loops(arcs);
-    if (!has_nonloop(arcs)) return;
+    if (arcs.empty()) return;
     if (phase >= max_phases) break;  // to finisher
     ++phase;
     ++stats.phases;
 
-    collect_ongoing(forest, arcs, seen_scratch, ongoing);
+    collect_ongoing(forest, arcs, ongoing_flags, ongoing);
     const double n_prime = params.exact_count
                                ? static_cast<double>(ongoing.size())
                                : std::max(1.0, n_tilde);

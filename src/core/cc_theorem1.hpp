@@ -41,9 +41,11 @@ struct Theorem1Params {
 
   // Per-phase sizing from the density δ = m / n' (paper exponents in
   // comments): block size δ^block_exp (2/3), table |H(u)| = δ^table_exp
-  // (1/3), progress parameter b = δ^b_exp (1/18). Practical defaults trade
-  // the asymptotic constants for observable progress at laptop scale
-  // (DESIGN.md §5.2).
+  // (1/3), progress parameter b = δ^b_exp (1/18). The practical defaults
+  // trade the asymptotic constants for progress a run can show: at δ = 64
+  // the paper's b = δ^{1/18} ≈ 1.26 sits on its floor of 2 and its tables
+  // hold 4 entries, so a phase barely shrinks the graph; the defaults give
+  // b = 4 and 16-entry tables.
   double block_exp = 2.0 / 3.0;
   double table_exp = 2.0 / 3.0;
   double b_exp = 1.0 / 3.0;
@@ -63,8 +65,10 @@ struct Theorem1Params {
   /// false — the ñ update rule of §B.5 (pure ARBITRARY CRCW).
   bool exact_count = true;
 
-  /// Paper-faithful exponents; see DESIGN.md §5.2 for why this mode mostly
-  /// degenerates to PREPARE at feasible n.
+  /// Paper-faithful exponents. This mode mostly degenerates to PREPARE at
+  /// feasible n: its density target log^100 n exceeds every feasible m/n,
+  /// and its budget of 100 · log_{8/7} log n + 8 phases outlasts Vanilla's
+  /// O(log n) phases, so PREPARE runs until the graph is solved.
   static Theorem1Params paper(std::uint64_t n, std::uint64_t m);
 
   /// Phases before the deterministic finisher: max_phases, or

@@ -1,7 +1,6 @@
 #include "core/expand.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/arena.hpp"
 #include "util/check.hpp"
@@ -12,8 +11,8 @@ namespace logcc::core {
 
 namespace {
 
-/// Buckets for the occupancy partition: a pure function of the slot count
-/// (only called for n >= kSerialGrain, so >= 2 keeps the key shift < 64).
+/// Buckets for the occupancy partition: a pure function of the slot count.
+/// It starts at 2, so the key shift below stays under 64.
 std::size_t occupancy_bucket_count(std::size_t n) {
   std::size_t buckets = 2;
   while (buckets < 256 && buckets * util::kSerialGrain < n) buckets <<= 1;
@@ -91,25 +90,14 @@ void ExpandEngine::assign_blocks() {
   // h_B maps each ongoing vertex to a block; owning = unique occupant
   // (detected CRCW-style: write your id, re-read, then a second pass where
   // losers invalidate the cell — host-side we count occupants per key).
-  // Both paths compute the same "occupancy == 1" predicate; the path choice
-  // keys on size only, so results never depend on the thread count.
+  // Parallel occupancy: stable bucket partition of (block key, slot) pairs
+  // by mixed key bits, then a per-bucket sort + run scan. Every slot
+  // appears exactly once, so the owner writes are disjoint. The bucket
+  // count keys on the slot count only, so results never depend on the
+  // thread count.
   const std::uint32_t num = num_slots();
   auto& owns_block = scratch_->owns_block;
   auto& dormant_round = scratch_->dormant_round;
-  if (num < util::kSerialGrain) {
-    std::unordered_map<std::uint64_t, std::uint32_t> occupancy;
-    occupancy.reserve(num * 2);
-    for (VertexId v : ongoing_) ++occupancy[hb_(v, params_.block_count)];
-    for (std::uint32_t s = 0; s < num; ++s) {
-      owns_block[s] = occupancy[hb_(ongoing_[s], params_.block_count)] == 1;
-      if (!owns_block[s]) mark_dormant(s, 0);
-    }
-    stats_.pram_steps += 2;
-    return;
-  }
-  // Parallel occupancy: stable bucket partition of (block key, slot) pairs
-  // by mixed key bits, then a per-bucket sort + run scan. Every slot
-  // appears exactly once, so the owner writes are disjoint.
   auto& keys = scratch_->block_keys;
   auto& scattered = scratch_->block_keys_tmp;
   keys.resize(num);

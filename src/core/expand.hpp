@@ -47,10 +47,10 @@ struct ExpandParams {
 
 /// Caller-hoisted scratch for the engine's parallel kernels. Phase loops
 /// construct one ExpandEngine per phase; hoisting the scratch (like the
-/// collect_ongoing scratch) avoids re-allocating the O(n) slot map, the
-/// bucket-partition buffers, the table slab and the doubling-round state
-/// every phase. `slot_of` must be all-kNoSlot on entry; the engine restores
-/// it (touched entries only) on destruction.
+/// ongoing flags they hand collect_ongoing) avoids re-allocating the O(n)
+/// slot map, the bucket-partition buffers, the table slab and the
+/// doubling-round state every phase. `slot_of` must be all-kNoSlot on
+/// entry; the engine restores it (touched entries only) on destruction.
 struct ExpandScratch {
   std::vector<std::uint32_t> slot_of;  // n entries, kNoSlot except ongoing
   std::vector<std::pair<std::uint64_t, std::uint32_t>> block_keys;

@@ -7,24 +7,26 @@
 namespace logcc::core {
 
 template <typename V>
-bool BasicParentForest<V>::shortcut() {
-  // Fused pass: compute next[v] = v.p.p into the persistent scratch buffer
-  // and fold the changed flag in the same sweep (the seed did two passes
-  // plus a fresh allocation per call). Double-buffering keeps the step
-  // synchronous — every read sees the pre-step pointers.
-  const std::uint64_t n = parent_.size();
-  scratch_.resize(n);
+bool shortcut_step(std::vector<V>& p, std::vector<V>& next) {
+  // Fused pass: compute next[v] = p[p[v]] and fold the changed flag in the
+  // same sweep (parallel_reduce runs the map exactly once per index, which
+  // the write into `next` relies on). Double-buffering keeps the step
+  // synchronous.
+  next.resize(p.size());
   const bool changed = util::parallel_reduce(
-      std::size_t{0}, static_cast<std::size_t>(n), false,
+      std::size_t{0}, p.size(), false,
       [&](std::size_t v) {
-        const V next = parent_[parent_[v]];
-        scratch_[v] = next;
-        return next != parent_[v];
+        const V t = p[p[v]];
+        next[v] = t;
+        return t != p[v];
       },
       [](bool x, bool y) { return x || y; });
-  parent_.swap(scratch_);
+  p.swap(next);
   return changed;
 }
+
+template bool shortcut_step(std::vector<VertexId>&, std::vector<VertexId>&);
+template bool shortcut_step(std::vector<VertexId64>&, std::vector<VertexId64>&);
 
 template <typename V>
 std::uint64_t BasicParentForest<V>::flatten() {

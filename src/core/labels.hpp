@@ -1,7 +1,9 @@
 // The labeled digraph (§2.1): every vertex carries a parent pointer v.p; the
 // digraph's only cycles are self-loops, so it is a forest of rooted trees.
 // ParentForest owns the pointer array plus the operations and invariant
-// checks every algorithm in the paper shares.
+// checks every algorithm in the paper shares, and shortcut_step is the one
+// synchronous SHORTCUT step (§2.2) that the forest, the serving engine,
+// StreamStats::finish() and the Liu–Tarjan lab all run on their own arrays.
 //
 // Index-width contract: the forest is a template over the vertex width V,
 // like the graph.hpp types. ParentForest is the narrow (uint32)
@@ -19,6 +21,15 @@ namespace logcc::core {
 
 using graph::VertexId;
 using graph::VertexId64;
+
+/// One synchronous SHORTCUT step over a parent array: next[v] := p[p[v]]
+/// for every v (every read sees the pre-step pointers), then p and next
+/// swap. Returns true iff any pointer changed. `next` is the caller's
+/// double buffer, resized to p.size(); passing the same one every step
+/// keeps a flatten loop allocation-free. Instantiated for VertexId and
+/// VertexId64 in labels.cpp.
+template <typename V>
+bool shortcut_step(std::vector<V>& p, std::vector<V>& next);
 
 template <typename V>
 class BasicParentForest {
@@ -38,9 +49,9 @@ class BasicParentForest {
 
   bool is_root(V v) const { return parent_[v] == v; }
 
-  /// One synchronous SHORTCUT step: v.p := v.p.p for all v (reads the old
-  /// pointers). Returns true if any pointer changed.
-  bool shortcut();
+  /// One synchronous SHORTCUT step (shortcut_step on the pointer array).
+  /// Returns true if any pointer changed.
+  bool shortcut() { return shortcut_step(parent_, scratch_); }
 
   /// Repeats SHORTCUT until every tree is flat; returns the number of steps
   /// (<= ceil(log2 height) + 1).

@@ -180,16 +180,16 @@ SfResult theorem2_sf(const graph::ArcsInput& in,
   prepare(forest, arcs, m0, rule, out.stats, &in_forest);
 
   const std::uint64_t max_phases = params.phase_budget(n, m0);
-  std::vector<std::uint64_t> seen_scratch;  // reused by every phase
-  ExpandScratch expand_scratch;             // ditto (slot map + fill buffers)
+  ExpandScratch expand_scratch;  // reused by every phase (slot map + fill)
   std::uint64_t phase = 0;
+  std::vector<std::uint8_t> ongoing_flags;
   std::vector<VertexId> ongoing;
   std::vector<std::uint8_t> leader;
   while (true) {
     util::scratch_arena_round_reset();
     dedup_arcs(arcs);
     drop_loops(arcs);
-    if (!has_nonloop(arcs)) break;
+    if (arcs.empty()) break;
     if (phase >= max_phases) {
       out.stats.finisher_used = true;
       deterministic_contract_sf(forest, arcs, in_forest, out.stats);
@@ -198,7 +198,7 @@ SfResult theorem2_sf(const graph::ArcsInput& in,
     ++phase;
     ++out.stats.phases;
 
-    collect_ongoing(forest, arcs, seen_scratch, ongoing);
+    collect_ongoing(forest, arcs, ongoing_flags, ongoing);
     const double n_prime = static_cast<double>(ongoing.size());
     const PhaseSizing size = params.size_phase(n, m0, n_prime, ongoing.size());
     ExpandParams ep = size.expand;

@@ -24,8 +24,12 @@ std::uint64_t vanilla_loop(BasicParentForest<V>& forest,
   // v.e of §C: the arc index that realises v's link this phase.
   std::vector<OrigId> chosen(n, kNoArc);
 
+  // Callers may hand over loop arcs; from here on every ALTER is followed
+  // by drop_loops, so "no arc left" is the paper's "no edge other than
+  // loops".
+  drop_loops(arcs);
   std::uint64_t phases = 0;
-  while (has_nonloop(arcs)) {
+  while (!arcs.empty()) {
     util::scratch_arena_round_reset();
     if (schedule.stop(phases, arcs)) break;
     const std::uint64_t coin = schedule.coin_seed(phases);
@@ -104,7 +108,6 @@ BasicCcResult<V> vanilla_cc_impl(const graph::BasicArcsInput<V>& in,
   RoundArena::Scope arena_scope(round_arena);
   BasicParentForest<V> forest(in.num_vertices());
   std::vector<BasicArc<V>> arcs = arcs_from_input(in);
-  drop_loops(arcs);
   VanillaOptions opt;
   opt.seed = seed;
   vanilla_phases(forest, arcs, opt, out.stats);
@@ -167,7 +170,6 @@ VanillaSfResult vanilla_sf(const graph::ArcsInput& in, std::uint64_t seed) {
   RoundArena::Scope arena_scope(round_arena);
   ParentForest forest(in.num_vertices());
   std::vector<Arc> arcs = arcs_from_input(in);
-  drop_loops(arcs);
   std::vector<std::uint8_t> in_forest(in.num_edges(), 0);
   VanillaOptions opt;
   opt.seed = seed;

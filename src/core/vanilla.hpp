@@ -27,14 +27,16 @@ struct VanillaSchedule {
   /// is odd. Counter-based coins need no cross-processor order, so labels
   /// are bit-identical for every thread count.
   std::function<std::uint64_t(std::uint64_t p)> coin_seed;
-  /// Asked before phase p while a non-loop arc remains; true ends the loop.
+  /// Asked before phase p while an arc remains (none is a loop); true ends
+  /// the loop.
   std::function<bool(std::uint64_t p, const std::vector<BasicArc<V>>& arcs)>
       stop;
 };
 
-/// The Vanilla phase loop, in place on (forest, arcs): VOTE, MARK-EDGE,
-/// LINK, SHORTCUT, ALTER, drop loops, dedup. Arcs must connect roots of
-/// flat trees (true initially and re-established every phase). With
+/// The Vanilla phase loop, in place on (forest, arcs): drop loops once,
+/// then VOTE, MARK-EDGE, LINK, SHORTCUT, ALTER, drop loops, dedup per phase
+/// until no arc is left or the stop rule says so. Arcs must connect roots
+/// of flat trees (true initially and re-established every phase). With
 /// `in_forest`, every LINK marks the input edge that realised it
 /// (Vanilla-SF). Adds 5 PRAM steps per phase and returns the phase count;
 /// the caller books it as RunStats::phases or prepare_phases. Instantiated

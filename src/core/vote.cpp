@@ -5,13 +5,6 @@
 
 namespace logcc::core {
 
-std::vector<std::uint8_t> vote(const ExpandEngine& expand,
-                               const VoteParams& params, RunStats& stats) {
-  std::vector<std::uint8_t> leader;
-  vote(expand, params, stats, leader);
-  return leader;
-}
-
 void vote(const ExpandEngine& expand, const VoteParams& params,
           RunStats& stats, std::vector<std::uint8_t>& leader) {
   const std::uint32_t num = expand.num_slots();

@@ -26,13 +26,9 @@ struct VoteParams {
   std::uint64_t seed = 1;
 };
 
-/// Returns per-slot leader flags (1 = leader).
-std::vector<std::uint8_t> vote(const ExpandEngine& expand,
-                               const VoteParams& params, RunStats& stats);
-
-/// Out-parameter form: `leader` is resized to the slot count and fully
-/// overwritten. Phase loops hoist it so steady-state phases reuse its
-/// capacity instead of allocating (see core/round_arena.hpp).
+/// Per-slot leader flags (1 = leader): `leader` is resized to the slot
+/// count and fully overwritten. Phase loops hoist it so steady-state phases
+/// reuse its capacity instead of allocating (see core/round_arena.hpp).
 void vote(const ExpandEngine& expand, const VoteParams& params,
           RunStats& stats, std::vector<std::uint8_t>& leader);
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <string>
 
+#include "core/labels.hpp"
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
 #include "util/parallel.hpp"
@@ -23,22 +24,6 @@ using graph::VertexId;
 using util::Status;
 
 namespace {
-
-/// One synchronous SHORTCUT step with a fused change flag (the lt_family
-/// idiom): next[v] = p[p[v]], true iff anything moved.
-bool shortcut_step(std::vector<VertexId>& p, std::vector<VertexId>& next) {
-  const std::uint64_t n = p.size();
-  const bool moved = util::parallel_reduce(
-      std::size_t{0}, static_cast<std::size_t>(n), false,
-      [&](std::size_t v) {
-        const VertexId t = p[p[v]];
-        next[v] = t;
-        return t != p[v];
-      },
-      [](bool a, bool b) { return a || b; });
-  p.swap(next);
-  return moved;
-}
 
 Status make_dir(const std::string& dir) {
 #ifdef LOGCC_ENGINE_POSIX
@@ -189,7 +174,7 @@ std::uint64_t ConnectivityEngine::merge_batch(std::span<const Edge> batch) {
     p.swap(next);
     // Shortcut to flat so the next round's p[v] reads are root labels
     // again (converges in O(log chain) steps; chains only merge roots).
-    while (shortcut_step(p, next)) {
+    while (core::shortcut_step(p, next)) {
     }
     LOGCC_CHECK_MSG(rounds <= 1u << 20, "batch merge failed to converge");
   }

@@ -4,11 +4,12 @@
 // One writer thread feeds batches of edge insertions into a live graph
 // (graph::EdgeLog); each batch is merged into the maintained components by
 // a multi-threaded min-combining hook + shortcut fixpoint over just the
-// batch edges (the Liu–Tarjan machinery of baselines/lt_family.cpp,
-// specialized to an always-flat forest), running on the repo's scan
-// primitives and thread-pool runtime — deterministic per the bit-identity
-// contract: for a given batch sequence the labels, rounds, and published
-// snapshots are identical for every thread count and backend.
+// batch edges (a Liu–Tarjan-style hook specialized to an always-flat
+// forest, flattened by core::shortcut_step, the SHORTCUT step every layer
+// shares), running on the repo's scan primitives and thread-pool runtime —
+// deterministic per the bit-identity contract: for a given batch sequence
+// the labels, rounds, and published snapshots are identical for every
+// thread count and backend.
 //
 // Queries never see the merge: after every batch the engine builds an
 // immutable core::ComponentIndex snapshot, pairs it with its epoch number,

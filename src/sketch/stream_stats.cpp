@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/labels.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/scan.hpp"
@@ -87,21 +88,12 @@ StreamSummary StreamStats::finish() {
   finished_ = true;
   const std::uint64_t n = parent_.size();
 
-  // Flatten to labels via synchronous shortcut rounds (the serve engine's
-  // idiom): deterministic for every thread count, O(log depth) rounds.
+  // Flatten to labels via synchronous SHORTCUT steps (core::shortcut_step,
+  // the step every layer shares): deterministic for every thread count,
+  // O(log depth) steps.
   {
-    std::vector<VertexId> next(n);
-    bool moved = true;
-    while (moved) {
-      moved = util::parallel_reduce(
-          std::size_t{0}, static_cast<std::size_t>(n), false,
-          [&](std::size_t v) {
-            const VertexId t = parent_[parent_[v]];
-            next[v] = t;
-            return t != parent_[v];
-          },
-          [](bool a, bool b) { return a || b; });
-      parent_.swap(next);
+    std::vector<VertexId> next;
+    while (core::shortcut_step(parent_, next)) {
     }
   }
 

@@ -23,9 +23,10 @@
 // Determinism: add_edge is sequential (a stream has an order; generator
 // enumeration is single-threaded by contract) and all hashing is seeded
 // mix64, so a (stream, options) pair fully determines every sketch bit.
-// finish() uses only order-invariant parallel steps (shortcut flatten,
-// atomic-max/add bulk sketch fills), so its results are also bit-identical
-// for every thread count and backend — pinned by tests/test_sketch.cpp.
+// finish() uses only order-invariant parallel steps (a flatten by
+// core::shortcut_step, atomic-max/add bulk sketch fills), so its results
+// are also bit-identical for every thread count and backend — pinned by
+// tests/test_sketch.cpp.
 #pragma once
 
 #include <cstdint>

@@ -48,12 +48,8 @@ constexpr std::size_t kMaxGrain = 16384;
 /// Measures the pool's empty-dispatch latency and derives a grain such that
 /// one chunk's work (assuming on the order of a nanosecond per index)
 /// amortises the dispatch. Purely a scheduling knob: results never depend
-/// on it. LOGCC_GRAIN pins it instead.
+/// on it; set_parallel_grain pins it instead.
 std::size_t calibrate_grain() {
-  if (const char* env = std::getenv("LOGCC_GRAIN")) {
-    const long v = std::atol(env);
-    if (v >= 1) return static_cast<std::size_t>(v);
-  }
   if (g_backend.load(std::memory_order_relaxed) != ParallelBackend::kPool ||
       g_threads.load(std::memory_order_relaxed) <= 1)
     return kDefaultGrain;

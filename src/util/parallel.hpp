@@ -58,8 +58,9 @@ void set_parallelism(int threads);
 inline constexpr std::size_t kSerialGrain = 4096;
 
 /// Minimum indices per chunk handed to a lane in one claim. Calibrated
-/// once, lazily, from the measured dispatch latency (LOGCC_GRAIN overrides;
-/// see parallel.cpp). Affects scheduling only, never results.
+/// once, lazily, from the measured dispatch latency, clamped to
+/// [256, 16384] (see parallel.cpp); set_parallel_grain pins it. Affects
+/// scheduling only, never results.
 std::size_t parallel_grain();
 void set_parallel_grain(std::size_t grain);
 

@@ -1,9 +1,10 @@
 // Blocked data-parallel primitives on top of parallel_for: prefix sum,
-// reduce, pack/filter, and an atomic min helper.
+// reduce, pack/emit, histogram, bucket partition and group-by, and atomic
+// min/max helpers.
 //
 // Everything here is DETERMINISTIC regardless of thread count: work is split
 // into blocks whose number depends only on the input size, per-block partials
-// are combined in block order, and pack/filter preserve input order. That
+// are combined in block order, and pack/emit preserve input order. That
 // determinism is the contract the algorithm layer builds on — a PRAM step
 // implemented with these primitives produces bit-identical output under
 // OMP_NUM_THREADS=1 and =N (see tests/test_scan.cpp) and under every
@@ -16,8 +17,8 @@
 // are util::ScratchBuffer: when a round-scratch arena is active (see
 // util/arena.hpp and core/round_arena.hpp) they cost zero heap allocations
 // in steady state; without one they fall back to the heap. The `_into`
-// variants additionally let round loops supply the *result* storage, so a
-// whole round can run allocation-free.
+// primitives additionally let round loops supply the *result* storage, so
+// a whole round can run allocation-free.
 #pragma once
 
 #include <algorithm>
@@ -159,43 +160,12 @@ T parallel_prefix_sum(std::vector<T>& data) {
   return parallel_prefix_sum(data.data(), data.size());
 }
 
-/// Stable filter into a fresh vector (the non-destructive pack).
+/// Stable pack: keeps exactly the elements with keep(v[i]) true, in their
+/// original order, and shrinks `v`. Returns the number removed.
 ///
 /// `keep` MUST be deterministic and side-effect free: it is evaluated twice
 /// per element (count pass, then write pass), and a disagreement between
 /// the passes overruns a block's reserved output range.
-template <typename T, typename Pred>
-std::vector<T> parallel_filter(const std::vector<T>& v, Pred&& keep) {
-  const std::size_t n = v.size();
-  std::vector<T> out;
-  if (n < kSerialGrain) {
-    for (std::size_t i = 0; i < n; ++i)
-      if (keep(v[i])) out.push_back(v[i]);
-    return out;
-  }
-  const std::size_t blocks = scan_block_count(n);
-  ScratchBuffer<std::size_t> offset(blocks);
-  parallel_for_blocks(blocks, [&](std::size_t b) {
-    std::size_t count = 0;
-    const std::size_t hi = detail::block_begin(n, blocks, b + 1);
-    for (std::size_t i = detail::block_begin(n, blocks, b); i < hi; ++i)
-      count += keep(v[i]) ? 1 : 0;
-    offset[b] = count;
-  });
-  const std::size_t kept = parallel_prefix_sum(offset.data(), blocks);
-  out.resize(kept);
-  parallel_for_blocks(blocks, [&](std::size_t b) {
-    std::size_t w = offset[b];
-    const std::size_t hi = detail::block_begin(n, blocks, b + 1);
-    for (std::size_t i = detail::block_begin(n, blocks, b); i < hi; ++i)
-      if (keep(v[i])) out[w++] = v[i];
-  });
-  return out;
-}
-
-/// Stable pack: keeps exactly the elements with keep(v[i]) true, in their
-/// original order, and shrinks `v`. Returns the number removed. Same
-/// determinism requirement on `keep` as parallel_filter.
 ///
 /// The parallel path scatters into a staging buffer and copies back.
 /// In-place scatter would race: when an early block keeps few elements, a
@@ -224,6 +194,7 @@ std::size_t parallel_pack(std::vector<T>& v, Pred&& keep) {
     offset[b] = count;
   });
   const std::size_t kept = parallel_prefix_sum(offset.data(), blocks);
+  if (kept == n) return 0;  // nothing to drop: skip the staging copy
   ScratchBuffer<T> staged(kept);
   parallel_for_blocks(blocks, [&](std::size_t b) {
     std::size_t w = offset[b];
@@ -245,7 +216,7 @@ std::size_t parallel_pack(std::vector<T>& v, Pred&& keep) {
 
 /// Segmented pack ("multi-emit"): index i contributes count(i) items,
 /// written by emit(i, dst) into dst[0 .. count(i)); the output concatenates
-/// contributions in index order. Generalises parallel_filter from 0/1 items
+/// contributions in index order. Generalises parallel_pack from 0/1 items
 /// per index to any per-index count — the shape of "every directed arc
 /// yields its table-fill items".
 ///
@@ -369,20 +340,6 @@ void parallel_bucket_partition_into(const T* in, std::size_t n, T* out,
   });
 }
 
-/// Vector-returning convenience wrapper over
-/// parallel_bucket_partition_into (same semantics; `out` is resized).
-template <typename T, typename BucketFn>
-std::vector<std::size_t> parallel_bucket_partition(const std::vector<T>& in,
-                                                   std::vector<T>& out,
-                                                   std::size_t buckets,
-                                                   BucketFn&& bucket) {
-  std::vector<std::size_t> begin(buckets + 1);
-  out.resize(in.size());
-  parallel_bucket_partition_into(in.data(), in.size(), out.data(), begin,
-                                 buckets, bucket);
-  return begin;
-}
-
 /// Stable group-by for keys in [0, num_keys): fills `out` with the items of
 /// `in` ordered by key, input-stable within each key, and returns the
 /// num_keys + 1 segment offsets. Equivalent to a stable counting sort, but
@@ -437,16 +394,6 @@ void parallel_group_by_into(const std::vector<T>& in, std::vector<T>& out,
       out[cur[key(tmp[i]) - lo_key]++] = tmp[i];
   });
   offsets[num_keys] = n;
-}
-
-/// Vector-returning convenience wrapper over parallel_group_by_into.
-template <typename T, typename KeyFn>
-std::vector<std::size_t> parallel_group_by(const std::vector<T>& in,
-                                           std::vector<T>& out,
-                                           std::size_t num_keys, KeyFn&& key) {
-  std::vector<std::size_t> offsets(num_keys + 1);
-  parallel_group_by_into(in, out, num_keys, key, offsets);
-  return offsets;
 }
 
 }  // namespace logcc::util

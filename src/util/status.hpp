@@ -30,7 +30,6 @@ enum class StatusCode {
   kCorruption,       // checksum mismatch, bad magic, impossible field
   kNotFound,         // expected file absent (recovery treats as "start fresh")
   kFailedPrecondition,  // object state forbids the operation
-  kResourceExhausted,   // out of memory / disk budget
 };
 
 const char* to_string(StatusCode code);
@@ -55,9 +54,6 @@ class Status {
   }
   static Status failed_precondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
-  static Status resource_exhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
 
   bool is_ok() const { return code_ == StatusCode::kOk; }
@@ -94,7 +90,6 @@ inline const char* to_string(StatusCode code) {
     case StatusCode::kCorruption: return "CORRUPTION";
     case StatusCode::kNotFound: return "NOT_FOUND";
     case StatusCode::kFailedPrecondition: return "FAILED_PRECONDITION";
-    case StatusCode::kResourceExhausted: return "RESOURCE_EXHAUSTED";
   }
   return "?";
 }

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <tuple>
+
 #include "graph/generators.hpp"
 #include "graph/graph_algos.hpp"
 #include "test_support.hpp"
+#include "util/random.hpp"
 
 namespace logcc::core {
 namespace {
@@ -52,12 +57,56 @@ TEST(DedupArcs, MergesUndirectedDuplicates) {
   EXPECT_EQ(arcs[0].v, 1u);
 }
 
-TEST(HasNonloop, Detects) {
-  std::vector<Arc> loops{{0, 0, 0}, {3, 3, 1}};
-  EXPECT_FALSE(has_nonloop(loops));
-  loops.push_back({0, 1, 2});
-  EXPECT_TRUE(has_nonloop(loops));
-  EXPECT_FALSE(has_nonloop({}));
+// Sizes around the radix cutoff (256), the serial grain (4,096) and the
+// one-bucket cutoff (16,384). Below the last, dedup_arcs runs one bucket,
+// whose output is the fully sorted reference itself; from it on, the
+// output is bucket-major, so it is compared as a set. The wide run must
+// give the narrow run's output element for element.
+TEST(DedupArcs, MatchesSortUniqueAcrossSizes) {
+  for (const std::size_t m : {255u, 256u, 4095u, 4096u, 16383u, 16384u}) {
+    // Duplicate-heavy: about four copies of each pair from a small id
+    // range, in both orientations, with orig ids in descending order so
+    // the minimum is not the first copy.
+    const VertexId n = static_cast<VertexId>(std::sqrt(m / 2.0)) + 2;
+    std::vector<Arc> arcs(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::uint64_t h = util::mix64(m, i);
+      arcs[i] = {static_cast<VertexId>(h % n),
+                 static_cast<VertexId>((h >> 32) % n),
+                 static_cast<Arc::OrigId>(m - i)};
+    }
+    std::vector<Arc64> wide(m);
+    for (std::size_t i = 0; i < m; ++i)
+      wide[i] = {arcs[i].u, arcs[i].v, arcs[i].orig};
+
+    auto reference = arcs;
+    for (Arc& a : reference)
+      if (a.u > a.v) std::swap(a.u, a.v);
+    std::sort(reference.begin(), reference.end(),
+              [](const Arc& a, const Arc& b) {
+                return std::tie(a.u, a.v, a.orig) < std::tie(b.u, b.v, b.orig);
+              });
+    reference.erase(std::unique(reference.begin(), reference.end(),
+                                [](const Arc& a, const Arc& b) {
+                                  return a.u == b.u && a.v == b.v;
+                                }),
+                    reference.end());
+
+    dedup_arcs(arcs);
+    dedup_arcs(wide);
+    ASSERT_EQ(wide.size(), arcs.size()) << "m=" << m;
+    for (std::size_t i = 0; i < arcs.size(); ++i) {
+      ASSERT_EQ(wide[i].u, arcs[i].u) << "m=" << m << " i=" << i;
+      ASSERT_EQ(wide[i].v, arcs[i].v) << "m=" << m << " i=" << i;
+      ASSERT_EQ(wide[i].orig, arcs[i].orig) << "m=" << m << " i=" << i;
+    }
+    if (m >= 16384) {
+      std::sort(arcs.begin(), arcs.end(), [](const Arc& a, const Arc& b) {
+        return std::tie(a.u, a.v) < std::tie(b.u, b.v);
+      });
+    }
+    EXPECT_EQ(arcs, reference) << "m=" << m;
+  }
 }
 
 TEST(MarkOngoing, FlagsEndpointsOfNonloopArcs) {
@@ -69,20 +118,25 @@ TEST(MarkOngoing, FlagsEndpointsOfNonloopArcs) {
   EXPECT_EQ(flags, std::vector<std::uint8_t>(5, 0));
 }
 
-TEST(MarkOngoing, FlagsWhatCollectOngoingLists) {
-  // Large enough for the parallel store pass and reduce; the isolated
-  // vertices of a sparse G(n, m) must stay unflagged.
+TEST(CollectOngoing, ListsTheFlaggedIdsInIdOrder) {
+  // Large enough for the parallel store pass, reduce and pack; the isolated
+  // vertices of a sparse G(n, m) must stay unflagged. A loop arc flags
+  // nothing.
   const auto el = graph::make_gnm(20000, 15000, 4);
-  const auto arcs = arcs_from_input(el);
+  auto arcs = arcs_from_input(el);
+  arcs.push_back({19999, 19999, 0});
   ParentForest f(el.n);
-  std::vector<std::uint64_t> seen;
-  std::vector<VertexId> ongoing;
-  collect_ongoing(f, arcs, seen, ongoing);
-  std::vector<std::uint8_t> flags;
-  const std::uint64_t k = mark_ongoing(el.n, arcs, flags);
-  EXPECT_EQ(k, ongoing.size());
+  std::vector<std::uint8_t> flags{7, 7, 7};  // stale scratch is fine
+  std::vector<VertexId> ongoing{42};          // cleared, then refilled
+  collect_ongoing(f, arcs, flags, ongoing);
+  std::vector<std::uint8_t> expected_flags;
+  const std::uint64_t k = mark_ongoing(el.n, arcs, expected_flags);
+  EXPECT_EQ(flags, expected_flags);
   EXPECT_LT(k, el.n);
-  for (VertexId v : ongoing) EXPECT_EQ(flags[v], 1u) << v;
+  std::vector<VertexId> expected;
+  for (std::uint64_t v = 0; v < el.n; ++v)
+    if (expected_flags[v]) expected.push_back(static_cast<VertexId>(v));
+  EXPECT_EQ(ongoing, expected);
 }
 
 TEST(DeterministicContract, SolvesZoo) {

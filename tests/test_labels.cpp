@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace logcc::core {
 namespace {
 
@@ -44,6 +46,50 @@ TEST(ParentForest, ShortcutIsSynchronous) {
   EXPECT_EQ(f.parent(3), 1u);  // old grandparent, not the new one
   EXPECT_EQ(f.parent(2), 0u);
   EXPECT_EQ(f.parent(1), 0u);
+}
+
+// core::shortcut_step is the one SHORTCUT step of every layer (the forest,
+// the serving engine, StreamStats, the Liu–Tarjan lab).
+template <typename V>
+void expect_shortcut_step_contract() {
+  // Chain 3 -> 2 -> 1 -> 0 takes two synchronous steps, not one: the first
+  // reads only pre-step pointers, so 3 lands on 1, not on 0.
+  std::vector<V> p{0, 0, 1, 2};
+  std::vector<V> next;  // resized by the step
+  EXPECT_TRUE(shortcut_step(p, next));
+  EXPECT_EQ(p, (std::vector<V>{0, 0, 0, 1}));
+  EXPECT_TRUE(shortcut_step(p, next));
+  EXPECT_EQ(p, (std::vector<V>{0, 0, 0, 0}));
+  EXPECT_FALSE(shortcut_step(p, next));  // flat: nothing moves
+  EXPECT_EQ(p, (std::vector<V>{0, 0, 0, 0}));
+  std::vector<V> empty;
+  EXPECT_FALSE(shortcut_step(empty, next));
+
+  // Above the serial grain, with several trees: every step gives the
+  // arrays ParentForest::shortcut gives.
+  const std::uint64_t n = 20000;
+  std::vector<V> chain(n);
+  BasicParentForest<V> forest(n);
+  for (std::uint64_t v = 0; v < n; ++v) {
+    const std::uint64_t parent = v % 1000 == 0 ? v : v - 1;
+    chain[v] = static_cast<V>(parent);
+    forest.set_parent(static_cast<V>(v), static_cast<V>(parent));
+  }
+  bool moved = true;
+  while (moved) {
+    moved = shortcut_step(chain, next);
+    EXPECT_EQ(forest.shortcut(), moved);
+    ASSERT_EQ(chain, forest.raw());
+  }
+  EXPECT_TRUE(forest.all_flat());
+}
+
+TEST(ShortcutStep, SynchronousAndMatchesParentForest) {
+  expect_shortcut_step_contract<VertexId>();
+}
+
+TEST(ShortcutStep, WideMatchesParentForest64) {
+  expect_shortcut_step_contract<VertexId64>();
 }
 
 TEST(ParentForest, FindRoot) {

@@ -29,8 +29,6 @@ TEST(Status, FactoriesCarryCodeAndMessage) {
   EXPECT_EQ(Status::not_found("x").code(), StatusCode::kNotFound);
   EXPECT_EQ(Status::failed_precondition("x").code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(Status::resource_exhausted("x").code(),
-            StatusCode::kResourceExhausted);
   const Status s = Status::io_error("short write on 'edges.wal'");
   EXPECT_FALSE(s.is_ok());
   EXPECT_EQ(s.message(), "short write on 'edges.wal'");

@@ -137,7 +137,6 @@ TEST_F(BackendInvariance, SerialBackendReportsOneThread) {
 struct ScanResults {
   std::uint64_t reduce = 0;
   std::vector<std::uint64_t> prefix;
-  std::vector<std::uint64_t> filtered;
   std::vector<std::uint64_t> packed;
   std::vector<std::uint64_t> histogram;
   std::vector<std::uint64_t> partitioned;
@@ -160,18 +159,22 @@ ScanResults run_all_primitives() {
       [](std::uint64_t a, std::uint64_t b) { return a + b; });
   r.prefix = v;
   parallel_prefix_sum(r.prefix);
-  r.filtered = parallel_filter(v, [](std::uint64_t x) { return x % 3 == 0; });
   r.packed = v;
   parallel_pack(r.packed, [](std::uint64_t x) { return x % 5 != 0; });
   r.histogram = parallel_histogram(n, 64, [&](std::size_t i) {
     return static_cast<std::size_t>(v[i] % 64);
   });
-  r.partition_offsets = parallel_bucket_partition(
-      v, r.partitioned, 32,
+  r.partitioned.resize(n);
+  r.partition_offsets.resize(32 + 1);
+  parallel_bucket_partition_into(
+      v.data(), n, r.partitioned.data(),
+      std::span<std::size_t>(r.partition_offsets), 32,
       [](std::uint64_t x) { return static_cast<std::size_t>(x % 32); });
-  r.group_offsets = parallel_group_by(
+  r.group_offsets.resize((1 << 16) + 1);
+  parallel_group_by_into(
       v, r.grouped, 1 << 16,
-      [](std::uint64_t x) { return static_cast<std::size_t>(x); });
+      [](std::uint64_t x) { return static_cast<std::size_t>(x); },
+      std::span<std::size_t>(r.group_offsets));
   // dedup_arcs composes partition + emit + pack over the Arc type.
   std::vector<core::Arc> arcs(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -131,7 +131,7 @@ TEST(Prepare, StopsAtDensityTarget) {
   const PrepareRun r = run_prepare(el, 8.0, 1000);
   ASSERT_GT(r.ran, 0u);
   EXPECT_LT(r.ran, 1000u);
-  EXPECT_TRUE(has_nonloop(r.arcs));  // stopped by density, not solved
+  EXPECT_FALSE(r.arcs.empty());  // stopped by density, not solved
   EXPECT_GE(density(r), 8.0);
   // The same coins with one phase less stay below the target, so PREPARE
   // stopped at the first phase that reached it.
@@ -142,11 +142,11 @@ TEST(Prepare, StopsAtPhaseBudget) {
   const auto el = graph::make_path(4096);
   const PrepareRun three = run_prepare(el, 1e9, 3);
   EXPECT_EQ(three.ran, 3u);
-  EXPECT_TRUE(has_nonloop(three.arcs));
+  EXPECT_FALSE(three.arcs.empty());
   // The auto budget on a path: 2 · log2(log2 4096) + 4 = 11 phases.
   const PrepareRun automatic = run_prepare(el, 1e9, PrepareRule::kAutoPhases);
   EXPECT_EQ(automatic.ran, 11u);
-  EXPECT_TRUE(has_nonloop(automatic.arcs));
+  EXPECT_FALSE(automatic.arcs.empty());
 }
 
 TEST(Prepare, StopsWhenNoNonloopArcLeft) {
@@ -155,7 +155,7 @@ TEST(Prepare, StopsWhenNoNonloopArcLeft) {
   const PrepareRun r = run_prepare(el, 1e9, 4096);
   EXPECT_GT(r.ran, 0u);
   EXPECT_LT(r.ran, 4096u);
-  EXPECT_FALSE(has_nonloop(r.arcs));
+  EXPECT_TRUE(r.arcs.empty());
   ParentForest forest = r.forest;
   forest.flatten();
   EXPECT_TRUE(logcc::testing::matches_oracle(el, forest.root_labels()));
@@ -215,6 +215,41 @@ TEST(Prepare, Theorem1IgnoresIsolatedVertices) {
   EXPECT_EQ(r.stats.prepare_phases, 0u);
   EXPECT_FALSE(r.stats.prepare_used);
   EXPECT_TRUE(logcc::testing::matches_oracle(el, r.labels));
+}
+
+// Every phase loop ends when no arc is left, so a list of only self-loops
+// must run no phase: vanilla_phases and PREPARE drop them on entry, and
+// theorem1_phases right after its dedup.
+TEST(PhaseLoops, LoopOnlyInputRunsNoPhase) {
+  const std::vector<Arc> loops{{0, 0, 0}, {3, 3, 1}, {3, 3, 2}, {7, 7, 3}};
+  {
+    ParentForest forest(8);
+    auto arcs = loops;
+    RunStats stats;
+    EXPECT_EQ(vanilla_phases(forest, arcs, VanillaOptions{}, stats), 0u);
+    EXPECT_TRUE(arcs.empty());
+    EXPECT_EQ(stats.phases, 0u);
+    EXPECT_EQ(stats.pram_steps, 0u);
+  }
+  {
+    ParentForest forest(8);
+    auto arcs = loops;
+    RunStats stats;
+    EXPECT_EQ(prepare(forest, arcs, 4, {1, 0, 1e9, 10}, stats), 0u);
+    EXPECT_EQ(stats.prepare_phases, 0u);
+    EXPECT_FALSE(stats.prepare_used);
+  }
+  {
+    ParentForest forest(8);
+    auto arcs = loops;
+    RunStats stats;
+    theorem1_phases(forest, arcs, 4, Theorem1Params{}, stats);
+    EXPECT_TRUE(arcs.empty());
+    EXPECT_EQ(stats.phases, 0u);
+    EXPECT_FALSE(stats.finisher_used);
+    EXPECT_EQ(forest.root_labels(),
+              (std::vector<VertexId>{0, 1, 2, 3, 4, 5, 6, 7}));
+  }
 }
 
 TEST(VanillaSf, ForestValidOnZoo) {
