@@ -6,10 +6,15 @@
 //   * SHORTCUT     — core::shortcut_step (labels.hpp), the one synchronous
 //                    step that ParentForest, the serving engine, the sketch
 //                    tier's StreamStats and the Liu–Tarjan lab all run;
-//   * expansion    — lives in hash_table/expand/expand_maxlink.
+//   * expansion    — the two table slab kernels (table_slab.hpp):
+//                    seed_tables fills H(v) from v and its neighbours, and
+//                    double_table runs one H(v) ∪= H(w), w ∈ H(v) step;
+//                    EXPAND (expand.hpp) and EXPAND-MAXLINK
+//                    (expand_maxlink.hpp) both run on them.
 //
 // Plus the phase's ongoing-root set (mark_ongoing / collect_ongoing), which
-// PREPARE, COMPACT and the Theorem 1 and 2 phase loops share.
+// PREPARE, COMPACT and the one EXPAND phase loop of Theorems 1 and 2
+// (expand_loop, cc_theorem1.hpp) share.
 //
 // Arcs carry the index of the original input edge they were altered from
 // (`orig`), which is what lets the spanning-forest algorithm mark tree edges

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/round_arena.hpp"
+#include "core/vote.hpp"
 #include "util/arena.hpp"
 #include "util/bitutil.hpp"
 #include "util/check.hpp"
@@ -30,47 +31,25 @@ Theorem1Params Theorem1Params::paper(std::uint64_t n, std::uint64_t m) {
   return p;
 }
 
-std::uint64_t Theorem1Params::phase_budget(std::uint64_t n,
-                                           std::uint64_t m0) const {
-  if (max_phases != 0) return max_phases;
-  return static_cast<std::uint64_t>(8.0 * util::loglog_density(n, m0)) + 24;
-}
-
-PhaseSizing Theorem1Params::size_phase(std::uint64_t n, std::uint64_t m0,
-                                       double n_prime,
-                                       std::uint64_t ongoing) const {
-  PhaseSizing out;
-  const double delta = std::max(2.0, static_cast<double>(m0) / n_prime);
-  out.b = std::max(2.0, std::pow(delta, b_exp));
-  out.expand.table_capacity = static_cast<std::uint32_t>(std::clamp<double>(
-      std::pow(delta, table_exp), min_table_capacity, double(1u << 22)));
-  const double block_size = std::max(4.0, std::pow(delta, block_exp));
-  out.expand.block_count = std::max<std::uint64_t>(
-      2 * ongoing + 1,
-      static_cast<std::uint64_t>(static_cast<double>(m0) / block_size));
-  out.expand.max_rounds = util::ceil_log2(std::max<std::uint64_t>(n, 2)) + 4;
-  out.vote.dormant_leader_prob = std::pow(out.b, -2.0 / 3.0);
-  return out;
-}
-
-void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
-                     std::uint64_t m0, const Theorem1Params& params,
-                     RunStats& stats) {
+void expand_loop(ParentForest& forest, std::vector<Arc>& arcs,
+                 std::uint64_t m0, const Theorem1Params& params,
+                 const ExpandSchedule& schedule, RunStats& stats) {
   const std::uint64_t n = forest.size();
   m0 = std::max<std::uint64_t>(m0, 1);
-  const std::uint64_t max_phases = params.phase_budget(n, m0);
+  const std::uint64_t max_phases =
+      params.max_phases != 0
+          ? params.max_phases
+          : static_cast<std::uint64_t>(8.0 * util::loglog_density(n, m0)) + 24;
 
   // ñ update rule state (§B.5) for the pure-ARBITRARY variant.
   double n_tilde = static_cast<double>(std::max<std::uint64_t>(n, 1));
 
   ExpandScratch expand_scratch;  // reused by every phase (slot map + fill)
-  // Hoisted per-phase buffers (ongoing flags and set, leader flags, LINK
-  // choices): steady-state phases reuse their capacity instead of
-  // allocating.
+  // Hoisted per-phase buffers (ongoing flags and set, leader flags):
+  // steady-state phases reuse their capacity instead of allocating.
   std::vector<std::uint8_t> ongoing_flags;
   std::vector<VertexId> ongoing;
   std::vector<std::uint8_t> leader;
-  std::vector<VertexId> chosen;
   std::uint64_t phase = 0;
   while (true) {
     util::scratch_arena_round_reset();
@@ -85,29 +64,70 @@ void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
     const double n_prime = params.exact_count
                                ? static_cast<double>(ongoing.size())
                                : std::max(1.0, n_tilde);
-    const PhaseSizing size = params.size_phase(n, m0, n_prime, ongoing.size());
-    ExpandParams ep = size.expand;
-    ep.seed = util::mix64(params.seed, 0xE0 + phase);
+    // Sizing from the density δ = max(2, m0 / n′): |H| = δ^table_exp, block
+    // count max(2k + 1, m0 / δ^block_exp) for k ongoing roots, progress
+    // parameter b = δ^b_exp, dormant-leader probability b^{-2/3}.
+    const double delta = std::max(2.0, static_cast<double>(m0) / n_prime);
+    const double b = std::max(2.0, std::pow(delta, params.b_exp));
+    ExpandParams ep;
+    ep.table_capacity = static_cast<std::uint32_t>(
+        std::clamp<double>(std::pow(delta, params.table_exp),
+                           params.min_table_capacity, double(1u << 22)));
+    ep.block_count = std::max<std::uint64_t>(
+        2 * ongoing.size() + 1,
+        static_cast<std::uint64_t>(
+            static_cast<double>(m0) /
+            std::max(4.0, std::pow(delta, params.block_exp))));
+    ep.max_rounds = util::ceil_log2(std::max<std::uint64_t>(n, 2)) + 4;
+    ep.seed = util::mix64(params.seed, schedule.expand_salt + phase);
+    ep.keep_history = schedule.keep_history;
 
     ExpandEngine expand(n, ongoing, arcs, ep, stats, &expand_scratch);
     expand.run();
 
-    VoteParams vp = size.vote;
-    vp.seed = util::mix64(params.seed, 0x40E + phase);
+    VoteParams vp;
+    vp.dormant_leader_prob = std::pow(b, -2.0 / 3.0);
+    vp.seed = util::mix64(params.seed, schedule.vote_salt + phase);
     vote(expand, vp, stats, leader);
 
-    // Space in use this phase: arc processors + all tables.
-    stats.peak_space_words =
-        std::max(stats.peak_space_words,
-                 arcs.size() * 3 + static_cast<std::uint64_t>(ongoing.size()) *
-                                       ep.table_capacity);
+    // Space in use this phase: arc processors + all tables, every round's
+    // when they are kept.
+    const std::uint64_t tables_held =
+        schedule.keep_history ? expand.rounds() + 2 : 1;
+    stats.peak_space_words = std::max<std::uint64_t>(
+        stats.peak_space_words,
+        arcs.size() * 3 + static_cast<std::uint64_t>(ongoing.size()) *
+                              ep.table_capacity * tables_held);
     stats.total_block_words +=
         static_cast<std::uint64_t>(ongoing.size()) * ep.table_capacity;
 
-    // LINK: non-leaders adopt a leader in their neighbour set (graph arcs
-    // plus the expanded tables). The ARBITRARY write resolution becomes a
-    // fetch-min on the leader id, so the adopted parent is the same for
-    // every thread count.
+    schedule.link(expand, leader);
+    alter(arcs, forest);
+    drop_loops(arcs);
+
+    // ñ update rule (§B.5): ñ := ñ / b^{1/4}.
+    n_tilde = std::max(1.0, n_tilde / std::pow(b, 0.25));
+  }
+
+  // Round budget exhausted (vanishingly rare; bench T4 quantifies): finish
+  // deterministically.
+  stats.finisher_used = true;
+  schedule.finish();
+}
+
+void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
+                     std::uint64_t m0, const Theorem1Params& params,
+                     RunStats& stats) {
+  std::vector<VertexId> chosen;  // LINK's pick per slot, reused every phase
+  ExpandSchedule schedule;
+  schedule.expand_salt = 0xE0;
+  schedule.vote_salt = 0x40E;
+  // LINK: non-leaders adopt a leader in their neighbour set (graph arcs
+  // plus the expanded tables). The ARBITRARY write resolution becomes a
+  // fetch-min on the leader id, so the adopted parent is the same for
+  // every thread count.
+  schedule.link = [&](const ExpandEngine& expand,
+                      const std::vector<std::uint8_t>& leader) {
     stats.pram_steps += 1;
     const std::uint32_t num = expand.num_slots();
     chosen.assign(num, graph::kInvalidVertex);
@@ -135,21 +155,11 @@ void theorem1_phases(ParentForest& forest, std::vector<Arc>& arcs,
       VertexId v = expand.vertex_of(static_cast<std::uint32_t>(s));
       if (forest.is_root(v)) forest.set_parent(v, chosen[s]);
     });
-
-    // SHORTCUT; ALTER.
     forest.shortcut();
-    stats.pram_steps += 2;
-    alter(arcs, forest);
-    drop_loops(arcs);
-
-    // ñ update rule (§B.5): ñ := ñ / b^{1/4}.
-    n_tilde = std::max(1.0, n_tilde / std::pow(size.b, 0.25));
-  }
-
-  // Round budget exhausted (vanishingly rare; bench T4 quantifies): finish
-  // deterministically.
-  stats.finisher_used = true;
-  deterministic_contract(forest, arcs, stats);
+    stats.pram_steps += 2;  // SHORTCUT and the loop's ALTER
+  };
+  schedule.finish = [&] { deterministic_contract(forest, arcs, stats); };
+  expand_loop(forest, arcs, m0, params, schedule, stats);
 }
 
 CcResult theorem1_cc(const graph::ArcsInput& in, const Theorem1Params& params) {

@@ -7,12 +7,17 @@
 // phases when m/n is small; each phase then expands neighbour sets to balls
 // of doubling radius (O(log d) inner rounds), elects leaders, and
 // contracts, multiplying the density m/n' by a b^{Ω(1)} factor per phase —
-// hence O(log log) phases. Theorem 2 (core/spanning_forest.hpp) runs the
-// same phase shape and sizes its phases with the same Theorem1Params
-// helpers.
+// hence O(log log) phases.
+//
+// One phase loop, expand_loop, runs the EXPAND phases of Theorem 1 and of
+// Theorem 2 (core/spanning_forest.hpp): it sizes every phase from
+// Theorem1Params, and its caller picks the coin salts, the link step and
+// the finisher. Its EXPAND (core/expand.hpp) fills and doubles tables with
+// the table slab kernels seed_tables and double_table.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/budget.hpp"
@@ -20,21 +25,9 @@
 #include "core/expand.hpp"
 #include "core/metrics.hpp"
 #include "core/vanilla.hpp"
-#include "core/vote.hpp"
 #include "graph/graph.hpp"
 
 namespace logcc::core {
-
-/// One phase's sizing, from the density δ = max(2, m0 / n′): EXPAND's table
-/// capacity δ^table_exp, block count max(2k + 1, m0 / δ^block_exp) for k
-/// ongoing roots and doubling-round cap; the progress parameter
-/// b = δ^b_exp; VOTE's dormant-leader probability b^{-2/3}. The coin seeds
-/// and keep_history are left to the caller.
-struct PhaseSizing {
-  ExpandParams expand;
-  VoteParams vote;
-  double b = 2.0;
-};
 
 struct Theorem1Params {
   std::uint64_t seed = 1;
@@ -57,8 +50,9 @@ struct Theorem1Params {
   double prepare_target_density = 64.0;
   std::uint64_t prepare_max_phases = PrepareRule::kAutoPhases;
 
-  /// 0 = automatic: C · log log_{m/n} n + K phases before the deterministic
-  /// finisher takes over (it essentially never does; bench T4 measures it).
+  /// 0 = automatic: 8 · log log_{m0/n} n + 24 phases before the
+  /// deterministic finisher takes over (it essentially never does; bench T4
+  /// measures it).
   std::uint64_t max_phases = 0;
 
   /// true  — n' counted exactly (the COMBINING CRCW assumption B.6);
@@ -70,16 +64,30 @@ struct Theorem1Params {
   /// and its budget of 100 · log_{8/7} log n + 8 phases outlasts Vanilla's
   /// O(log n) phases, so PREPARE runs until the graph is solved.
   static Theorem1Params paper(std::uint64_t n, std::uint64_t m);
-
-  /// Phases before the deterministic finisher: max_phases, or
-  /// 8 · log log_{m0/n} n + 24 when it is 0.
-  std::uint64_t phase_budget(std::uint64_t n, std::uint64_t m0) const;
-
-  /// Sizing of a phase with n′ = `n_prime` (the ongoing count, or ñ) and
-  /// `ongoing` ongoing roots on an n-vertex, m0-arc graph.
-  PhaseSizing size_phase(std::uint64_t n, std::uint64_t m0, double n_prime,
-                         std::uint64_t ongoing) const;
 };
+
+/// What a caller of expand_loop picks. Phase p (from 1) seeds EXPAND with
+/// mix64(seed, expand_salt + p) and VOTE with mix64(seed, vote_salt + p).
+/// keep_history keeps every round's tables, and the phase's space counts
+/// them. `link` runs after VOTE and leaves the trees flat (LINK + SHORTCUT,
+/// or TREE-LINK + flatten); `finish` runs once the phase budget is spent.
+struct ExpandSchedule {
+  std::uint64_t expand_salt = 0;
+  std::uint64_t vote_salt = 0;
+  bool keep_history = false;
+  std::function<void(const ExpandEngine&, const std::vector<std::uint8_t>&)>
+      link;
+  std::function<void()> finish;
+};
+
+/// The EXPAND phase loop, in place on (forest, arcs): while a non-loop arc
+/// is left, EXPAND, VOTE, schedule.link and ALTER, each phase sized from n′,
+/// the ongoing count or, without exact_count, the ñ of §B.5. After
+/// max_phases phases it sets finisher_used and calls schedule.finish. Arcs
+/// must connect roots of flat trees.
+void expand_loop(ParentForest& forest, std::vector<Arc>& arcs,
+                 std::uint64_t m0, const Theorem1Params& params,
+                 const ExpandSchedule& schedule, RunStats& stats);
 
 /// An EdgeList converts implicitly to the ArcsInput (CSR-backed inputs
 /// ingest without one).

@@ -73,11 +73,6 @@ ExpandEngine::~ExpandEngine() {
                      [&](std::size_t s) { slot_of[ongoing_[s]] = kNoSlot; });
 }
 
-void ExpandEngine::mark_dormant(std::uint32_t slot, std::uint32_t round) {
-  auto& dormant_round = scratch_->dormant_round;
-  if (dormant_round[slot] == kNeverDormant) dormant_round[slot] = round;
-}
-
 void ExpandEngine::flush_collisions() {
   auto& coll = scratch_->collisions;
   stats_.hash_collisions += util::parallel_reduce(
@@ -131,76 +126,37 @@ void ExpandEngine::assign_blocks() {
   stats_.pram_steps += 2;
 }
 
-void ExpandEngine::seed_tables() {
-  // Step (3): every arc (v, w), both directions — directed index j covers
-  // arc j/2, direction j%2. A live v hashes v and w into H(v); a v without
-  // a block instead marks its neighbours dormant (idempotent store of
-  // round 0).
-  const std::size_t m2 = arcs_.size() * 2;
+void ExpandEngine::seed() {
+  // Step (3): over every arc between ongoing vertices, an end without a
+  // block marks the other dormant (idempotent store of round 0), and a
+  // block owner's table takes itself, then its neighbours in arc order.
   const auto& slot_of = scratch_->slot_of;
-  auto& owns_block = scratch_->owns_block;
+  const auto& owns_block = scratch_->owns_block;
   auto& dormant_round = scratch_->dormant_round;
-  util::parallel_for(0, m2, [&](std::size_t j) {
-    const Arc& a = arcs_[j >> 1];
-    const VertexId v = (j & 1) ? a.v : a.u;
-    const VertexId w = (j & 1) ? a.u : a.v;
-    const std::uint32_t sv = slot_of[v];
-    const std::uint32_t sw = slot_of[w];
-    if (sv == kNoSlot || sw == kNoSlot) return;
-    if (!owns_block[sv]) util::relaxed_store(dormant_round[sw], 0u);
+  util::parallel_for(0, arcs_.size(), [&](std::size_t i) {
+    const std::uint32_t su = slot_of[arcs_[i].u], sv = slot_of[arcs_[i].v];
+    if (su == kNoSlot || sv == kNoSlot) return;
+    if (!owns_block[su]) util::relaxed_store(dormant_round[sv], 0u);
+    if (!owns_block[sv]) util::relaxed_store(dormant_round[su], 0u);
   });
-  // Bucket-partitioned table fill: emit the (owner slot, vertex) items in
-  // directed-arc order, group them by slot, then let every slot replay its
-  // own inserts serially — same per-table insert order as the serial
-  // sweep, but slots fill in parallel.
-  auto& items = scratch_->fill_items;
-  auto& grouped = scratch_->fill_items_grouped;
-  util::parallel_emit(
-      m2, items,
-      [&](std::size_t j) -> std::size_t {
-        const Arc& a = arcs_[j >> 1];
-        const VertexId v = (j & 1) ? a.v : a.u;
-        const VertexId w = (j & 1) ? a.u : a.v;
-        const std::uint32_t sv = slot_of[v];
-        const std::uint32_t sw = slot_of[w];
-        return (sv != kNoSlot && sw != kNoSlot && owns_block[sv]) ? 2 : 0;
-      },
-      [&](std::size_t j, std::pair<std::uint32_t, VertexId>* dst) {
-        const Arc& a = arcs_[j >> 1];
-        const VertexId v = (j & 1) ? a.v : a.u;
-        const VertexId w = (j & 1) ? a.u : a.v;
-        const std::uint32_t sv = slot_of[v];
-        dst[0] = {sv, v};
-        dst[1] = {sv, w};
-      });
-  const std::uint32_t num = num_slots();
-  util::ScratchBuffer<std::size_t> slot_begin(num + 1);
-  util::parallel_group_by_into(items, grouped, num,
-                               [](const auto& it) { return it.first; },
-                               slot_begin.span());
-  auto& coll = scratch_->collisions;
   TableSlab& tables = scratch_->tables;
-  const std::uint32_t cap = params_.table_capacity;
-  util::parallel_for(0, num, [&](std::size_t s) {
-    coll[s] = 0;
-    if (!owns_block[s]) return;
-    const auto t = static_cast<std::uint32_t>(s);
-    for (std::size_t i = slot_begin[s]; i < slot_begin[s + 1]; ++i) {
-      const VertexId w = grouped[i].second;
-      if (tables.insert_at(t, static_cast<std::uint32_t>(hv_(w, cap)), w) ==
-          TableSlab::Insert::kCollision)
-        ++coll[s];
-    }
-    // Isolated block owner still holds itself.
-    const VertexId v = ongoing_[s];
-    if (tables.insert_at(t, static_cast<std::uint32_t>(hv_(v, cap)), v) ==
-        TableSlab::Insert::kCollision)
-      ++coll[s];
-  });
+  seed_tables(
+      tables, hv_, arcs_.size(),
+      [&](std::size_t i) -> const Arc& { return arcs_[i]; },
+      [&](std::uint32_t s) {
+        return owns_block[s] ? ongoing_[s] : graph::kInvalidVertex;
+      },
+      [&](VertexId v, VertexId w) {
+        const std::uint32_t sv = slot_of[v];
+        return sv != kNoSlot && slot_of[w] != kNoSlot && owns_block[sv]
+                   ? sv
+                   : kNoSlot;
+      },
+      scratch_->collisions, scratch_->fill);
   flush_collisions();
   // Step (4): collisions observed in round 0.
-  util::parallel_for(0, num, [&](std::size_t s) {
-    if (tables.collided(static_cast<std::uint32_t>(s))) mark_dormant(s, 0);
+  util::parallel_for(0, num_slots(), [&](std::size_t s) {
+    if (tables.collided(static_cast<std::uint32_t>(s))) dormant_round[s] = 0;
   });
   stats_.pram_steps += 2;
 }
@@ -224,10 +180,9 @@ void ExpandEngine::doubling_rounds() {
   const std::uint32_t num = num_slots();
   const auto& slot_of = scratch_->slot_of;
   auto& coll = scratch_->collisions;
-  auto& owns_block = scratch_->owns_block;
+  const auto& owns_block = scratch_->owns_block;
   auto& dormant_round = scratch_->dormant_round;
   TableSlab& tables = scratch_->tables;
-  const std::uint32_t cap = params_.table_capacity;
 
   auto& changed = scratch_->changed;          // table changed last round
   auto& went_dormant = scratch_->went_dormant;
@@ -264,8 +219,7 @@ void ExpandEngine::doubling_rounds() {
     });
 
     // One doubling step, parallel over slots: slot s reads only the
-    // snapshots and writes only its own table/flags/tally. Iteration is in
-    // cell order, exactly the order the per-slot items() snapshots gave.
+    // snapshots and writes only its own table/flags/tally.
     util::parallel_for(0, num, [&](std::size_t s) {
       if (!owns_block[s]) return;
       const auto t = static_cast<std::uint32_t>(s);
@@ -279,30 +233,21 @@ void ExpandEngine::doubling_rounds() {
         });
       }
       if (!needs_work) return;
-
-      tables.for_each_in(snap, t, [&](VertexId v) {
-        std::uint32_t sv = slot_of[v];
-        if (sv == kNoSlot) return;
-        if (dormant_in[sv]) {
-          if (dormant_round[s] == kNeverDormant) {
-            mark_dormant(t, round);
-            dormant_now[s] = 1;
-          }
-        }
-        tables.for_each_in(snap, sv, [&](VertexId w) {
-          auto r = tables.insert_at(
-              t, static_cast<std::uint32_t>(hv_(w, cap)), w);
-          if (r == TableSlab::Insert::kNew) {
-            changed_now[s] = 1;
-          } else if (r == TableSlab::Insert::kCollision) {
-            ++coll[s];
-            if (dormant_round[s] == kNeverDormant) {
-              mark_dormant(t, round);
-              dormant_now[s] = 1;
-            }
-          }
-        });
-      });
+      // Dormancy hops one step: a member that entered this round dormant
+      // makes s dormant, as does a collision.
+      bool hop = false;
+      const DoubleResult r =
+          double_table(tables, snap, t, hv_, [&](VertexId v) {
+            const std::uint32_t sv = slot_of[v];
+            if (sv != kNoSlot && dormant_in[sv]) hop = true;
+            return sv;
+          });
+      coll[s] = r.collisions;
+      changed_now[s] = r.grew;
+      if ((hop || r.collisions > 0) && dormant_round[s] == kNeverDormant) {
+        dormant_round[s] = round;
+        dormant_now[s] = 1;
+      }
     });
     flush_collisions();
     const bool any_change = util::parallel_reduce(
@@ -320,7 +265,7 @@ void ExpandEngine::doubling_rounds() {
 
 void ExpandEngine::run() {
   assign_blocks();
-  seed_tables();
+  seed();
   snapshot_history();  // H_0
   doubling_rounds();
 }

@@ -16,14 +16,16 @@
 // that the table equals the ball and signals VOTE to treat u pessimistically.
 //
 // `keep_history` retains H_j(u) and per-round liveness for every round j —
-// required by the spanning forest's TREE-LINK (§C.3).
+// required by the spanning forest's TREE-LINK (§C.3). One engine runs per
+// phase of expand_loop (core/cc_theorem1.hpp), the phase loop of Theorems
+// 1 and 2.
 //
-// Every step is data-parallel over util/scan's blocked primitives — block
-// occupancy via a stable bucket partition, table seeding via a segmented
-// emit grouped by owner slot, doubling rounds as a parallel map over slots
-// with per-slot collision tallies — and all of it is thread-count
-// invariant: the same input yields bit-identical tables, dormancy rounds
-// and stats for every OMP_NUM_THREADS (tests/test_expand.cpp asserts it).
+// Tables are seeded and doubled by the kernels EXPAND-MAXLINK runs too,
+// seed_tables and double_table (core/table_slab.hpp); block occupancy,
+// dormancy and the skip of stable slots stay here. Every step is
+// data-parallel and thread-count invariant: the same input yields
+// bit-identical tables, dormancy rounds and stats for every
+// OMP_NUM_THREADS (tests/test_expand.cpp asserts it).
 #pragma once
 
 #include <cstdint>
@@ -55,8 +57,7 @@ struct ExpandScratch {
   std::vector<std::uint32_t> slot_of;  // n entries, kNoSlot except ongoing
   std::vector<std::pair<std::uint64_t, std::uint32_t>> block_keys;
   std::vector<std::pair<std::uint64_t, std::uint32_t>> block_keys_tmp;
-  std::vector<std::pair<std::uint32_t, VertexId>> fill_items;
-  std::vector<std::pair<std::uint32_t, VertexId>> fill_items_grouped;
+  SeedScratch fill;                       // seed_tables' fill pairs
   std::vector<std::uint64_t> collisions;  // per-slot tallies
   TableSlab tables;                       // H(u) buckets, epoch-reset per phase
   std::vector<std::uint64_t> snapshot_words;  // per-round flat table snapshot
@@ -69,7 +70,7 @@ struct ExpandScratch {
 
 class ExpandEngine {
  public:
-  static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
+  static constexpr std::uint32_t kNoSlot = kNoTable;
   static constexpr std::uint32_t kNeverDormant = static_cast<std::uint32_t>(-1);
 
   /// `ongoing` lists the roots participating this phase; `arcs` are the
@@ -127,9 +128,8 @@ class ExpandEngine {
 
  private:
   void assign_blocks();
-  void seed_tables();      // Steps (3) and (4)
+  void seed();             // Steps (3) and (4)
   void doubling_rounds();  // Step (5)
-  void mark_dormant(std::uint32_t slot, std::uint32_t round);
   void snapshot_history();
   void flush_collisions();  // scratch tallies -> stats_.hash_collisions
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "util/arena.hpp"
 #include "util/check.hpp"
 #include "util/hashing.hpp"
 #include "util/parallel.hpp"
@@ -195,51 +194,24 @@ bool ExpandMaxlink::round() {
                    : 0;
   });
   table_.reset_variable(caps_);
-  // Bucket-partitioned fill: emit (root, neighbour) items in arc order,
-  // group them per root, then every root replays its own inserts — self
-  // first (v ∈ N(v): without it, Step (5) would keep "discovering" v
+  // Self first (v ∈ N(v): without it, Step (5) would keep "discovering" v
   // through a neighbour's table and the closure test of the break
-  // condition could never settle), then neighbours in arc order.
+  // condition could never settle), then equal-budget root neighbours in
+  // arc order, original arcs before added ones.
   const std::size_t na = arcs_.size();
-  auto arc_at = [&](std::size_t i) -> const Arc& {
-    return i < na ? arcs_[i] : added_[i - na];
-  };
-  auto eligible = [&](VertexId v, VertexId w) {
-    return is_root_vertex(v) && is_root_vertex(w) && budget_[w] == budget_[v];
-  };
-  util::parallel_emit(
-      na + added_.size(), fill_items_,
-      [&](std::size_t i) -> std::size_t {
-        const Arc& a = arc_at(i);
-        if (a.u == a.v) return 0;
-        return (eligible(a.u, a.v) ? 1 : 0) + (eligible(a.v, a.u) ? 1 : 0);
+  seed_tables(
+      table_, h, na + added_.size(),
+      [&](std::size_t i) -> const Arc& {
+        return i < na ? arcs_[i] : added_[i - na];
       },
-      [&](std::size_t i, std::pair<VertexId, VertexId>* dst) {
-        const Arc& a = arc_at(i);
-        if (eligible(a.u, a.v)) *dst++ = {a.u, a.v};
-        if (eligible(a.v, a.u)) *dst = {a.v, a.u};
-      });
-  util::ScratchBuffer<std::size_t> root_begin(n_ + 1);
-  util::parallel_group_by_into(
-      fill_items_, fill_grouped_, n_,
-      [](const auto& it) { return static_cast<std::size_t>(it.first); },
-      root_begin.span());
-  util::parallel_for(0, n_, [&](std::size_t v) {
-    coll_[v] = 0;
-    const std::uint32_t cap = caps_[v];
-    if (cap == 0) return;
-    const auto t = static_cast<std::uint32_t>(v);
-    if (table_.insert_at(t, static_cast<std::uint32_t>(h(v, cap)),
-                         static_cast<VertexId>(v)) ==
-        TableSlab::Insert::kCollision)
-      ++coll_[v];
-    for (std::size_t i = root_begin[v]; i < root_begin[v + 1]; ++i) {
-      const VertexId w = fill_grouped_[i].second;
-      if (table_.insert_at(t, static_cast<std::uint32_t>(h(w, cap)), w) ==
-          TableSlab::Insert::kCollision)
-        ++coll_[v];
-    }
-  });
+      [&](VertexId v) { return caps_[v] != 0 ? v : graph::kInvalidVertex; },
+      [&](VertexId v, VertexId w) {
+        return is_root_vertex(v) && is_root_vertex(w) &&
+                       budget_[w] == budget_[v]
+                   ? v
+                   : kNoTable;
+      },
+      coll_, fill_);
 
   // ---- Step (4): collisions mark dormant; dormancy propagates one hop.
   ++stats_.pram_steps;
@@ -256,29 +228,19 @@ bool ExpandMaxlink::round() {
     });
   });
 
-  // ---- Step (5): one doubling step H(v) ∪= H(w), w ∈ H(v). Parallel over
-  // roots: v reads only the flat slab snapshot (one word copy, no per-root
-  // item vectors) and writes only its own table/flags.
+  // ---- Step (5): one doubling step H(v) ∪= H(w), w ∈ H(v), read from the
+  // flat slab snapshot. Tables are indexed by vertex, and a non-root's is
+  // empty.
   ++stats_.pram_steps;
   closure_.resize(n_);
   table_.snapshot_into(snap_words_);
   util::parallel_for(0, n_, [&](std::size_t v) {
-    closure_[v] = 0;
-    if (!is_root_vertex(static_cast<VertexId>(v))) return;
-    const std::uint32_t cap = caps_[v];
-    if (cap == 0) return;
-    const auto t = static_cast<std::uint32_t>(v);
-    table_.for_each_in(snap_words_, t, [&](VertexId w) {
-      table_.for_each_in(snap_words_, w, [&](VertexId u) {
-        auto r = table_.insert_at(t, static_cast<std::uint32_t>(h(u, cap)), u);
-        if (r == TableSlab::Insert::kNew) {
-          closure_[v] = 1;
-        } else if (r == TableSlab::Insert::kCollision) {
-          ++coll_[v];
-          dormant_[v] = 1;
-        }
-      });
-    });
+    const DoubleResult r =
+        double_table(table_, snap_words_, static_cast<std::uint32_t>(v), h,
+                     [](VertexId w) { return w; });
+    closure_[v] = r.grew;
+    coll_[v] += r.collisions;
+    if (r.collisions > 0) dormant_[v] = 1;
   });
   stats_.hash_collisions += util::parallel_reduce(
       std::size_t{0}, n_, std::uint64_t{0},

@@ -20,9 +20,10 @@
 //
 // Every step is data-parallel and thread-count invariant: MAXLINK resolves
 // the "highest (level, id) parent wins" write with a packed fetch-max, the
-// random raises draw counter-based coins (mix64(seed, round, v)), the table
-// fills group (root, neighbour) items per root with a stable group-by, and
-// the occupancy/budget ledgers are parallel reduces
+// random raises draw counter-based coins (mix64(seed, round, v)), Steps (3)
+// and (5) are EXPAND's table kernels seed_tables and double_table
+// (core/table_slab.hpp) over one table per vertex, and the
+// occupancy/budget ledgers are parallel reduces
 // (tests/test_expand_maxlink.cpp asserts the invariance end-to-end).
 #pragma once
 
@@ -103,13 +104,13 @@ class ExpandMaxlink {
   // Round-hoisted scratch (the engine persists across rounds, so these
   // allocate once): packed (level, id) fetch-max cells for MAXLINK, the
   // per-round table slab (variable per-root capacities, epoch-reset each
-  // round) with its flat snapshot, the group-by buffers, and per-vertex
+  // round) with its flat snapshot, seed_tables' fill pairs, and per-vertex
   // tallies.
   std::vector<std::uint64_t> best_;
   TableSlab table_;
   std::vector<std::uint32_t> caps_;        // per-vertex table capacity
   std::vector<std::uint64_t> snap_words_;  // Step-(5) synchronous snapshot
-  std::vector<std::pair<VertexId, VertexId>> fill_items_, fill_grouped_;
+  SeedScratch fill_;
   std::vector<std::uint8_t> active_, raised_, forced_, dormant_, dormant0_;
   std::vector<std::uint8_t> closure_;
   std::vector<std::uint64_t> coll_, new_words_;

@@ -5,11 +5,8 @@
 #include "core/expand.hpp"
 #include "core/round_arena.hpp"
 #include "core/vanilla.hpp"
-#include "core/vote.hpp"
-#include "util/arena.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
-#include "util/random.hpp"
 #include "util/scan.hpp"
 
 namespace logcc::core {
@@ -179,53 +176,20 @@ SfResult theorem2_sf(const graph::ArcsInput& in,
                          params.prepare_max_phases};
   prepare(forest, arcs, m0, rule, out.stats, &in_forest);
 
-  const std::uint64_t max_phases = params.phase_budget(n, m0);
-  ExpandScratch expand_scratch;  // reused by every phase (slot map + fill)
-  std::uint64_t phase = 0;
-  std::vector<std::uint8_t> ongoing_flags;
-  std::vector<VertexId> ongoing;
-  std::vector<std::uint8_t> leader;
-  while (true) {
-    util::scratch_arena_round_reset();
-    dedup_arcs(arcs);
-    drop_loops(arcs);
-    if (arcs.empty()) break;
-    if (phase >= max_phases) {
-      out.stats.finisher_used = true;
-      deterministic_contract_sf(forest, arcs, in_forest, out.stats);
-      break;
-    }
-    ++phase;
-    ++out.stats.phases;
-
-    collect_ongoing(forest, arcs, ongoing_flags, ongoing);
-    const double n_prime = static_cast<double>(ongoing.size());
-    const PhaseSizing size = params.size_phase(n, m0, n_prime, ongoing.size());
-    ExpandParams ep = size.expand;
-    ep.seed = util::mix64(params.seed, 0x5F00 + phase);
-    ep.keep_history = true;  // TREE-LINK consumes H_j
-
-    ExpandEngine expand(n, ongoing, arcs, ep, out.stats, &expand_scratch);
-    expand.run();
-
-    VoteParams vp = size.vote;
-    vp.seed = util::mix64(params.seed, 0x5F0E + phase);
-    vote(expand, vp, out.stats, leader);
-
-    out.stats.peak_space_words = std::max<std::uint64_t>(
-        out.stats.peak_space_words,
-        arcs.size() * 3 + static_cast<std::uint64_t>(ongoing.size()) *
-                              ep.table_capacity * (expand.rounds() + 2));
-    out.stats.total_block_words +=
-        static_cast<std::uint64_t>(ongoing.size()) * ep.table_capacity;
-
+  ExpandSchedule schedule;
+  schedule.expand_salt = 0x5F00;
+  schedule.vote_salt = 0x5F0E;
+  schedule.keep_history = true;  // TREE-LINK consumes H_j
+  schedule.link = [&](const ExpandEngine& expand,
+                      const std::vector<std::uint8_t>& leader) {
     tree_link(expand, leader, arcs, forest, in_forest, out.stats);
-
     // TREE-SHORTCUT: BFS trees have height ≤ d; flatten fully.
     out.stats.pram_steps += forest.flatten();
-    alter(arcs, forest);
-    drop_loops(arcs);
-  }
+  };
+  schedule.finish = [&] {
+    deterministic_contract_sf(forest, arcs, in_forest, out.stats);
+  };
+  expand_loop(forest, arcs, m0, params, schedule, out.stats);
 
   for (std::uint64_t i = 0; i < in_forest.size(); ++i)
     if (in_forest[i]) out.forest_edges.push_back(i);

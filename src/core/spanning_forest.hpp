@@ -16,8 +16,10 @@
 // flattened by TREE-SHORTCUT.
 //
 // FOREST-PREPARE is the shared PREPARE (core/vanilla.hpp) recording the
-// input edge of every LINK, and each phase is sized by
-// Theorem1Params::size_phase, as in Theorem 1.
+// input edge of every LINK. The phases run on Theorem 1's EXPAND phase loop
+// (expand_loop, core/cc_theorem1.hpp) with their own coin salts, TREE-LINK
+// + TREE-SHORTCUT as the link step and the forest-marking finisher, so they
+// are sized as Theorem 1's are, exact_count's ñ rule included.
 #pragma once
 
 #include <cstdint>

@@ -34,16 +34,23 @@
 // slab with one flat word copy (snapshot_into) instead of materializing
 // per-table item vectors; for_each_in iterates a table's items inside such
 // a snapshot with the same cell order as for_each.
+//
+// Expansion (§2.2) is the two kernels below the class, which EXPAND and
+// EXPAND-MAXLINK both run: seed_tables fills every table from its owner and
+// the arcs, double_table runs one synchronous H(t) ∪= H(x), x ∈ H(t) step.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/hash_table.hpp"
 #include "graph/graph.hpp"
 #include "util/check.hpp"
+#include "util/hashing.hpp"
+#include "util/scan.hpp"
 
 namespace logcc::core {
 
@@ -183,5 +190,89 @@ class TableView {
   const TableSlab* slab_;
   std::uint32_t t_;
 };
+
+/// What the kernels' mappings return for an arc that fills no table, or a
+/// member without one.
+inline constexpr std::uint32_t kNoTable = static_cast<std::uint32_t>(-1);
+
+/// seed_tables' (table, item) fill pairs, hoisted by its callers.
+struct SeedScratch {
+  std::vector<std::pair<std::uint32_t, graph::VertexId>> items, grouped;
+};
+
+/// Expansion's seeding: every present table t takes its owner first, then
+/// the far end of each directed arc that fills it, in arc order (arc i's
+/// u→v before its v→u); item w goes to cell h(w, capacity(t)). `arc_at(i)`
+/// is arc i < num_arcs; `owner(t)` is t's vertex, or kInvalidVertex for an
+/// absent table; `fills(x, y)` is the table the arc x→y fills, or kNoTable.
+/// coll[t] gets table t's collisions. Each table replays its own items
+/// serially, so cells and tallies are the same for every thread count.
+template <typename ArcAt, typename Owner, typename Fills>
+void seed_tables(TableSlab& tables, const util::PairwiseHash& h,
+                 std::size_t num_arcs, ArcAt&& arc_at, Owner&& owner,
+                 Fills&& fills, std::span<std::uint64_t> coll,
+                 SeedScratch& scratch) {
+  util::parallel_emit(
+      num_arcs, scratch.items,
+      [&](std::size_t i) -> std::size_t {
+        const auto& a = arc_at(i);
+        return (fills(a.u, a.v) != kNoTable) + (fills(a.v, a.u) != kNoTable);
+      },
+      [&](std::size_t i, std::pair<std::uint32_t, graph::VertexId>* dst) {
+        const auto& a = arc_at(i);
+        if (const std::uint32_t t = fills(a.u, a.v); t != kNoTable)
+          *dst++ = {t, a.v};
+        if (const std::uint32_t t = fills(a.v, a.u); t != kNoTable)
+          *dst = {t, a.u};
+      });
+  const std::uint32_t num = tables.num_tables();
+  util::ScratchBuffer<std::size_t> begin(std::size_t{num} + 1);
+  util::parallel_group_by_into(scratch.items, scratch.grouped, num,
+                               [](const auto& it) { return it.first; },
+                               begin.span());
+  util::parallel_for(0, num, [&](std::size_t s) {
+    const auto t = static_cast<std::uint32_t>(s);
+    coll[t] = 0;
+    const graph::VertexId o = owner(t);
+    if (o == graph::kInvalidVertex) return;
+    const std::uint32_t cap = tables.capacity(t);
+    auto put = [&](graph::VertexId w) {
+      coll[t] += tables.insert_at(t, static_cast<std::uint32_t>(h(w, cap)),
+                                  w) == TableSlab::Insert::kCollision;
+    };
+    put(o);
+    for (std::size_t i = begin[t]; i < begin[t + 1]; ++i)
+      put(scratch.grouped[i].second);
+  });
+}
+
+struct DoubleResult {
+  bool grew = false;  // an item went in new
+  std::uint64_t collisions = 0;
+};
+
+/// Expansion's doubling step for table t: H(t) ∪= H(x), x ∈ H(t), both read
+/// from `snap`, a snapshot_into copy of this generation. `table_of(x)`,
+/// called once per member x, is the table holding H(x), or kNoTable to skip
+/// x. Writes table t only, so a parallel sweep over tables is one
+/// synchronous step.
+template <typename TableOf>
+DoubleResult double_table(TableSlab& tables,
+                          std::span<const std::uint64_t> snap, std::uint32_t t,
+                          const util::PairwiseHash& h, TableOf&& table_of) {
+  DoubleResult r;
+  const std::uint32_t cap = tables.capacity(t);
+  tables.for_each_in(snap, t, [&](graph::VertexId x) {
+    const std::uint32_t tx = table_of(x);
+    if (tx == kNoTable) return;
+    tables.for_each_in(snap, tx, [&](graph::VertexId w) {
+      const auto ins =
+          tables.insert_at(t, static_cast<std::uint32_t>(h(w, cap)), w);
+      r.grew |= ins == TableSlab::Insert::kNew;
+      r.collisions += ins == TableSlab::Insert::kCollision;
+    });
+  });
+  return r;
+}
 
 }  // namespace logcc::core

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "core/labels.hpp"
 #include "graph/generators.hpp"
@@ -166,6 +168,68 @@ TEST(ExpandDeath, HistoryRequiresFlag) {
   auto el = graph::make_path(4);
   Harness h(el, generous(el.n), nullptr);  // keep_history = false
   EXPECT_DEATH((void)h.engine->history(0, 0), "history");
+}
+
+TEST(Expand, SeedTablesAreOwnerThenNeighboursInArcOrder) {
+  // With no doubling round, every owner's table is its seed: the owner
+  // first, then each ongoing neighbour in directed-arc order (arc i's u→v
+  // before its v→u). A VertexTable filled in that order must match it cell
+  // for cell, with the same collision flags and count, at a capacity that
+  // collides and at a roomy one.
+  const std::vector<std::pair<std::string, graph::EdgeList>> graphs = {
+      {"gnm", graph::make_gnm(3000, 9000, 11)},
+      {"rmat", graph::make_rmat(12, 12000, 5)},
+      {"star", graph::make_star(600)}};
+  for (const auto& [name, el] : graphs) {
+    for (std::uint32_t cap : {4u, 64u}) {
+      ExpandParams p;
+      p.block_count = el.n * 3 / 4 + 1;  // owners and fully dormant slots
+      p.table_capacity = cap;
+      p.seed = 7;
+      p.max_rounds = 0;
+      RunStats stats;
+      Harness h(el, p, &stats);
+      const ExpandEngine& e = *h.engine;
+      ASSERT_EQ(e.rounds(), 0u);
+      std::vector<VertexTable> ref(e.num_slots());
+      std::uint64_t collisions = 0;
+      auto put = [&](std::uint32_t s, VertexId w) {
+        if (ref[s].insert_at(static_cast<std::uint32_t>(e.hv()(w, cap)), w) ==
+            VertexTable::Insert::kCollision)
+          ++collisions;
+      };
+      for (std::uint32_t s = 0; s < e.num_slots(); ++s) {
+        ref[s].reset(cap);
+        if (e.owns_block(s)) put(s, e.vertex_of(s));
+      }
+      for (const Arc& a : h.arcs) {
+        for (const auto& [x, y] : {std::pair{a.u, a.v}, std::pair{a.v, a.u}}) {
+          const std::uint32_t sx = e.slot_of(x);
+          if (sx != ExpandEngine::kNoSlot &&
+              e.slot_of(y) != ExpandEngine::kNoSlot && e.owns_block(sx))
+            put(sx, y);
+        }
+      }
+      std::uint32_t owners = 0;
+      for (std::uint32_t s = 0; s < e.num_slots(); ++s) {
+        if (!e.owns_block(s)) {
+          EXPECT_EQ(e.table(s).count(), 0u) << name << " slot " << s;
+          continue;
+        }
+        ++owners;
+        EXPECT_EQ(e.table(s).cells(), ref[s].cells())
+            << name << " cap " << cap << " slot " << s;
+        EXPECT_EQ(e.table(s).collided(), ref[s].collided())
+            << name << " cap " << cap << " slot " << s;
+      }
+      EXPECT_EQ(stats.hash_collisions, collisions) << name << " cap " << cap;
+      EXPECT_GT(owners, 0u) << name;
+      EXPECT_LT(owners, e.num_slots()) << name;
+      if (cap == 4) {
+        EXPECT_GT(collisions, 0u) << name;
+      }
+    }
+  }
 }
 
 TEST(Expand, HoistedScratchReusableAcrossEngines) {

@@ -73,6 +73,22 @@ TEST(Theorem2, ForcedFinisherStillValid) {
   expect_valid_forest(el, r, "grid under finisher");
 }
 
+TEST(Theorem2, NTildeRuleHonoured) {
+  // exact_count = false sizes every phase from the ñ of §B.5, as in
+  // Theorem 1, instead of the exact ongoing count.
+  SpanningForestParams approx;
+  approx.exact_count = false;
+  for (const auto& [name, el] : logcc::testing::small_zoo())
+    expect_valid_forest(el, theorem2_sf(el, approx), name + " (ñ)");
+  // The rule reaches the sizing: ñ starts at n, above the ongoing count.
+  auto el = graph::make_grid(30, 30);
+  const auto exact = theorem2_sf(el);
+  const auto tilde = theorem2_sf(el, approx);
+  ASSERT_GT(exact.stats.phases, 0u);
+  EXPECT_NE(tilde.stats.total_block_words, exact.stats.total_block_words);
+  expect_valid_forest(el, tilde, "grid30x30 (ñ)");
+}
+
 TEST(Theorem2, PhaseCountTracksTheorem1) {
   // Same asymptotics as Theorem 1 (the paper's point): phases stay small on
   // a dense low-diameter graph.

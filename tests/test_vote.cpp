@@ -56,9 +56,11 @@ TEST(Vote, LiveComponentsElectExactlyTheMinId) {
 
 TEST(Vote, DormantLeaderRateMatchesProbability) {
   // Make everyone fully dormant (no blocks): election is a pure Bernoulli.
+  // No table is ever filled, so a small capacity keeps the slab small.
   auto el = graph::make_path(4000);
   ExpandParams p = generous(el.n);
   p.block_count = 1;
+  p.table_capacity = 8;
   VoteHarness h(el, p);
   VoteParams vp;
   vp.dormant_leader_prob = 0.25;
