@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
       auto r = liu_tarjan_variant(w.el(), v);
       auto oracle = baselines::bfs_cc(w.input).labels;
       all_correct = all_correct && graph::same_partition(oracle, r.labels);
-      table.add_int(static_cast<long long>(r.rounds));
+      table.add_int(static_cast<long long>(r.stats.rounds));
     }
   }
   table.print();

@@ -45,10 +45,10 @@ struct Workload {
 
 /// Uniform workload resolution for bench mains. Declares `--dataset` on the
 /// CLI: when passed (a text/binary file path or a `gen:family:n[:seed]`
-/// spec — anything graph::load_dataset accepts) it overrides the default
-/// family sweep with that single input; otherwise each name in `families`
-/// is generated at `default_n` vertices. Exits with a message on unreadable
-/// datasets, so every bench fails loudly and identically.
+/// spec — anything graph::load_dataset_zero_copy accepts) it overrides the
+/// default family sweep with that single input; otherwise each name in
+/// `families` is generated at `default_n` vertices. Exits with a message on
+/// unreadable datasets, so every bench fails loudly and identically.
 inline Workload resolve_one_workload(const std::string& program,
                                      const std::string& spec) {
   Workload w;

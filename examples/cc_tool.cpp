@@ -317,9 +317,7 @@ int main(int argc, char** argv) {
     } else if (algorithm_name == "vanilla") {
       wr = core::vanilla_cc(warcs, seed);
     } else if (algorithm_name == "union-find") {
-      auto uf = baselines::union_find_cc(warcs);
-      wr.labels = std::move(uf.labels);
-      wr.stats.phases = uf.rounds;
+      wr = baselines::union_find_cc(warcs);
     } else {
       std::fprintf(stderr,
                    "cc_tool: algorithm '%s' is not available on the wide "
@@ -341,7 +339,8 @@ int main(int argc, char** argv) {
                 algorithm_name.c_str(), seconds * 1e3, info.source.c_str(),
                 info.load_seconds * 1e3);
     if (show_stats) {
-      std::printf("phases=%llu pram-steps=%llu\n",
+      std::printf("rounds=%llu phases=%llu pram-steps=%llu\n",
+                  static_cast<unsigned long long>(wr.stats.rounds),
                   static_cast<unsigned long long>(wr.stats.phases),
                   static_cast<unsigned long long>(wr.stats.pram_steps));
     }

@@ -1,5 +1,8 @@
 #include "baselines/awerbuch_shiloach.hpp"
 
+#include <algorithm>
+
+#include "core/labels.hpp"
 #include "util/check.hpp"
 
 namespace logcc::baselines {
@@ -33,17 +36,17 @@ void star_detect(const std::vector<VertexId>& d, std::vector<char>& st,
 }  // namespace
 
 // Synchronous rendering (see shiloach_vishkin.cpp for why).
-BaselineResult awerbuch_shiloach(const graph::ArcsInput& in) {
+core::CcResult awerbuch_shiloach(const graph::ArcsInput& in) {
   const std::uint64_t n = in.num_vertices();
   std::vector<VertexId> d(n), next(n);
   for (std::uint64_t v = 0; v < n; ++v) d[v] = static_cast<VertexId>(v);
   std::vector<char> st, scratch;
 
-  BaselineResult out;
+  core::CcResult out;
   bool changed = true;
   while (changed) {
     changed = false;
-    ++out.rounds;
+    ++out.stats.rounds;
 
     // (1) star roots hook onto strictly smaller neighbour labels.
     star_detect(d, st, scratch);
@@ -78,24 +81,14 @@ BaselineResult awerbuch_shiloach(const graph::ArcsInput& in) {
     d.swap(next);
 
     // (3) shortcut.
-    next = d;
-    for (std::uint64_t v = 0; v < n; ++v) {
-      VertexId dd = d[d[v]];
-      if (d[v] != dd) {
-        next[v] = dd;
-        changed = true;
-      }
-    }
-    d.swap(next);
+    changed = core::shortcut_step(d, next) || changed;
 
-    LOGCC_CHECK_MSG(out.rounds <= 4096, "AS failed to converge");
+    LOGCC_CHECK_MSG(out.stats.rounds <= 4096, "AS failed to converge");
   }
 
-  for (std::uint64_t v = 0; v < n; ++v) {
-    VertexId r = d[v];
-    while (d[r] != r) r = d[r];
-    d[v] = r;
-  }
+  // The last round's shortcut changed nothing: every tree is flat.
+  LOGCC_DCHECK(std::all_of(d.begin(), d.end(),
+                           [&](VertexId r) { return d[r] == r; }));
   out.labels = std::move(d);
   return out;
 }

@@ -2,11 +2,12 @@
 // Shiloach–Vishkin; deterministic, O(log n) rounds, ARBITRARY CRCW.
 #pragma once
 
-#include "baselines/shiloach_vishkin.hpp"
+#include "core/metrics.hpp"
+#include "graph/arcs_input.hpp"
 
 namespace logcc::baselines {
 
 // Zero-copy for CSR-backed datasets; an EdgeList converts implicitly.
-BaselineResult awerbuch_shiloach(const graph::ArcsInput& in);
+core::CcResult awerbuch_shiloach(const graph::ArcsInput& in);
 
 }  // namespace logcc::baselines

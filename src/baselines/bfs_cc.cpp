@@ -4,9 +4,9 @@
 
 namespace logcc::baselines {
 
-BaselineResult bfs_cc(const graph::ArcsInput& in) {
-  BaselineResult out;
-  out.rounds = 1;
+core::CcResult bfs_cc(const graph::ArcsInput& in) {
+  core::CcResult out;
+  out.stats.rounds = 1;
   if (in.csr_backed()) {
     out.labels = graph::bfs_components(in.csr());
   } else {

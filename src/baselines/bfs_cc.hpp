@@ -3,13 +3,13 @@
 // and the oracle benches compare wall-clock against.
 #pragma once
 
-#include "baselines/shiloach_vishkin.hpp"
-#include "graph/graph.hpp"
+#include "core/metrics.hpp"
+#include "graph/arcs_input.hpp"
 
 namespace logcc::baselines {
 
 /// Runs BFS directly over CSR-backed inputs (zero-copy); edge-backed inputs
 /// (an EdgeList converts implicitly) build the CSR adjacency first.
-BaselineResult bfs_cc(const graph::ArcsInput& in);
+core::CcResult bfs_cc(const graph::ArcsInput& in);
 
 }  // namespace logcc::baselines

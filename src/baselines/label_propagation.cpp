@@ -9,16 +9,16 @@ namespace logcc::baselines {
 using graph::Edge;
 using graph::VertexId;
 
-BaselineResult label_propagation(const graph::ArcsInput& in) {
+core::CcResult label_propagation(const graph::ArcsInput& in) {
   const std::uint64_t n = in.num_vertices();
   std::vector<VertexId> label(n), next(n);
   for (std::uint64_t v = 0; v < n; ++v) label[v] = static_cast<VertexId>(v);
 
-  BaselineResult out;
+  core::CcResult out;
   bool changed = true;
   while (changed) {
     changed = false;
-    ++out.rounds;
+    ++out.stats.rounds;
     next = label;  // synchronous update: reads see the previous round
     in.for_each_edge([&](VertexId u, VertexId v, std::uint32_t) {
       next[u] = std::min(next[u], label[v]);
@@ -33,7 +33,7 @@ BaselineResult label_propagation(const graph::ArcsInput& in) {
   return out;
 }
 
-BaselineResult liu_tarjan(const graph::ArcsInput& in) {
+core::CcResult liu_tarjan(const graph::ArcsInput& in) {
   const std::uint64_t n = in.num_vertices();
   std::vector<VertexId> p(n);
   for (std::uint64_t v = 0; v < n; ++v) p[v] = static_cast<VertexId>(v);
@@ -45,13 +45,13 @@ BaselineResult liu_tarjan(const graph::ArcsInput& in) {
   in.for_each_edge(
       [&](VertexId u, VertexId v, std::uint32_t) { edges.push_back({u, v}); });
 
-  BaselineResult out;
+  core::CcResult out;
   // Hoisted round buffers: steady-state rounds reuse capacity, never
   // allocate (the round-scratch rule of core/round_arena.hpp).
   std::vector<VertexId> target;
   std::vector<Edge> next;
   while (true) {
-    ++out.rounds;
+    ++out.stats.rounds;
     bool linked = false;
     // Parent link (min-combining flavour): every vertex adopts the smallest
     // neighbouring parent label; monotone, cycle-free because links strictly
@@ -78,7 +78,7 @@ BaselineResult liu_tarjan(const graph::ArcsInput& in) {
     }
     edges.swap(next);
     if (edges.empty() && !linked) break;
-    LOGCC_CHECK_MSG(out.rounds <= 4096, "liu_tarjan failed to converge");
+    LOGCC_CHECK_MSG(out.stats.rounds <= 4096, "liu_tarjan failed to converge");
   }
 
   for (std::uint64_t v = 0; v < n; ++v) {
@@ -86,10 +86,8 @@ BaselineResult liu_tarjan(const graph::ArcsInput& in) {
     while (p[r] != r) r = p[r];
     p[v] = r;
   }
-  BaselineResult res;
-  res.rounds = out.rounds;
-  res.labels = std::move(p);
-  return res;
+  out.labels = std::move(p);
+  return out;
 }
 
 }  // namespace logcc::baselines

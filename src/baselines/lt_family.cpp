@@ -1,15 +1,12 @@
 #include "baselines/lt_family.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 
+#include "core/building_blocks.hpp"
 #include "core/labels.hpp"
-#include "util/arena.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
-#include "util/radix.hpp"
-#include "util/random.hpp"
 #include "util/scan.hpp"
 
 namespace logcc::baselines {
@@ -46,73 +43,7 @@ std::vector<LtVariant> lt_incorrect_variants() {
           {LtConnect::kDirect, LtShortcut::kFull, false}};
 }
 
-namespace {
-
-/// Edge lists big enough that the bucketed dedup amortises its partition
-/// passes. Chosen by size only — never by thread count — so a given input
-/// always takes the same path (see scan.hpp on the determinism contract).
-constexpr std::size_t kAlterDedupCutoff = 4 * util::kSerialGrain;
-
-bool edge_less(const Edge& a, const Edge& b) {
-  return a.u != b.u ? a.u < b.u : a.v < b.v;
-}
-
-/// ALTER dedup. Small lists: serial sort + unique (the historical path).
-/// Large lists: partition into buckets by mixed high bits of u (equal
-/// edges share u, hence a bucket), radix-sort + unique each bucket on a
-/// worker lane, pack survivors back. Output order is bucket-major —
-/// different from the fully sorted serial path, but deterministic, and
-/// every later round depends only on the edge *set*: connect offers are
-/// min-combined (atomic_min), so labels are order-invariant. Staging is
-/// arena scratch (round arena on the dispatcher, lane arenas on workers).
-void dedup_edges(std::vector<Edge>& edges) {
-  const std::size_t n = edges.size();
-  if (n < kAlterDedupCutoff) {
-    std::sort(edges.begin(), edges.end(), edge_less);
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    return;
-  }
-  std::size_t buckets = 1;
-  while (buckets < 256 && buckets * util::kSerialGrain < n) buckets <<= 1;
-  const int shift = 64 - std::countr_zero(buckets);
-  util::ScratchBuffer<Edge> scattered(n);
-  util::ScratchBuffer<std::size_t> bucket_begin(buckets + 1);
-  util::parallel_bucket_partition_into(
-      edges.data(), n, scattered.data(), bucket_begin.span(), buckets,
-      [shift](const Edge& e) {
-        return static_cast<std::size_t>(util::mix64(e.u) >> shift);
-      });
-  util::ScratchBuffer<std::size_t> kept(buckets);
-  util::parallel_for_blocks(buckets, [&](std::size_t k) {
-    Edge* lo = scattered.data() + bucket_begin[k];
-    const std::size_t len = bucket_begin[k + 1] - bucket_begin[k];
-    if (len < util::kRadixSortCutoff) {
-      std::sort(lo, lo + len, edge_less);
-      kept[k] = static_cast<std::size_t>(std::unique(lo, lo + len) - lo);
-    } else {
-      util::radix_sort_key64(lo, len, [](const Edge& e) {
-        return (static_cast<std::uint64_t>(e.u) << 32) | e.v;
-      });
-      kept[k] = static_cast<std::size_t>(std::unique(lo, lo + len) - lo);
-    }
-  });
-  // Pack surviving bucket prefixes back into the caller's vector.
-  std::size_t total = 0;
-  util::ScratchBuffer<std::size_t> out_begin(buckets);
-  for (std::size_t k = 0; k < buckets; ++k) {
-    out_begin[k] = total;
-    total += kept[k];
-  }
-  edges.resize(total);
-  util::parallel_for_blocks(buckets, [&](std::size_t k) {
-    std::copy_n(scattered.data() + bucket_begin[k], kept[k],
-                edges.data() + out_begin[k]);
-  });
-}
-
-}  // namespace
-
-BaselineResult liu_tarjan_variant(const graph::ArcsInput& in,
+core::CcResult liu_tarjan_variant(const graph::ArcsInput& in,
                                   const LtVariant& variant) {
   const std::uint64_t n = in.num_vertices();
   std::vector<VertexId> p(n), next(n);
@@ -153,11 +84,11 @@ BaselineResult liu_tarjan_variant(const graph::ArcsInput& in,
     }
   };
 
-  BaselineResult out;
+  core::CcResult out;
   bool changed = true;
   while (changed) {
     changed = false;
-    ++out.rounds;
+    ++out.stats.rounds;
 
     // Connect: min-combining offers (COMBINING-min CRCW) via atomic_min —
     // next[t] ends as min(p[t], every offer to t), exactly what the serial
@@ -201,18 +132,16 @@ BaselineResult liu_tarjan_variant(const graph::ArcsInput& in,
       while (more) {
         more = core::shortcut_step(p, next);
         changed = changed || more;
-        if (!first && more) ++out.rounds;
+        if (!first && more) ++out.stats.rounds;
         first = false;
       }
     }
 
-    // Alter: blocked parallel emit of the surviving normalized edges, then
-    // sort + unique — the resulting edge *set* (what every later round
-    // depends on) matches the historical serial path exactly.
+    // Alter: blocked parallel emit of the surviving edges, then
+    // core::dedup_arcs (which orients each edge u <= v first). Every later
+    // round depends only on the edge *set*: connect offers are min-combined
+    // (atomic_min), so labels are order-invariant.
     if (variant.alter) {
-      auto normalized = [&](VertexId a, VertexId b) -> Edge {
-        return a <= b ? Edge{a, b} : Edge{b, a};
-      };
       if (use_working) {
         util::parallel_emit<Edge>(
             edges.size(), edges_next,
@@ -220,7 +149,7 @@ BaselineResult liu_tarjan_variant(const graph::ArcsInput& in,
               return p[edges[i].u] != p[edges[i].v] ? 1 : 0;
             },
             [&](std::size_t i, Edge* dst) {
-              *dst = normalized(p[edges[i].u], p[edges[i].v]);
+              *dst = {p[edges[i].u], p[edges[i].v]};
             });
       } else if (in.csr_backed()) {
         const graph::CsrView& g = in.csr();
@@ -235,7 +164,7 @@ BaselineResult liu_tarjan_variant(const graph::ArcsInput& in,
             [&](std::size_t u, Edge* dst) {
               for (VertexId w : graph::csr_suffix(g, static_cast<VertexId>(u)))
                 if (p[static_cast<VertexId>(u)] != p[w])
-                  *dst++ = normalized(p[static_cast<VertexId>(u)], p[w]);
+                  *dst++ = {p[static_cast<VertexId>(u)], p[w]};
             });
       } else {
         const auto es = in.edge_span();
@@ -245,30 +174,23 @@ BaselineResult liu_tarjan_variant(const graph::ArcsInput& in,
               return p[es[i].u] != p[es[i].v] ? 1 : 0;
             },
             [&](std::size_t i, Edge* dst) {
-              *dst = normalized(p[es[i].u], p[es[i].v]);
+              *dst = {p[es[i].u], p[es[i].v]};
             });
       }
       edges.swap(edges_next);
       use_working = true;
-      // Deduplicate to keep rounds O(m)-work (bucketed radix when large).
-      dedup_edges(edges);
+      // Deduplicate to keep rounds O(m)-work.
+      core::dedup_arcs(edges);
     }
 
-    LOGCC_CHECK_MSG(out.rounds <= 1u << 20,
+    LOGCC_CHECK_MSG(out.stats.rounds <= 1u << 20,
                     "LT variant failed to converge");
   }
 
-  // Labels only decrease and connects always offer values within the
-  // component, so the fixpoint is flat per component; flatten defensively.
-  for (std::uint64_t v = 0; v < n; ++v) {
-    VertexId r = p[v];
-    std::uint64_t guard = 0;
-    while (p[r] != r) {
-      r = p[r];
-      LOGCC_CHECK_MSG(++guard <= n, "cycle in LT parent forest");
-    }
-    p[v] = r;
-  }
+  // The loop exits only after a SHORTCUT that changed nothing, so every
+  // tree is flat and the labels are root ids.
+  LOGCC_DCHECK(std::all_of(p.begin(), p.end(),
+                           [&](VertexId r) { return p[r] == r; }));
   out.labels = std::move(p);
   return out;
 }

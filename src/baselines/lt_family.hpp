@@ -21,9 +21,8 @@
 #include <string>
 #include <vector>
 
-#include "baselines/shiloach_vishkin.hpp"
+#include "core/metrics.hpp"
 #include "graph/arcs_input.hpp"
-#include "graph/graph.hpp"
 
 namespace logcc::baselines {
 
@@ -57,7 +56,7 @@ std::vector<LtVariant> lt_incorrect_variants();
 /// sweep the input's own storage every round — zero-copy for CSR-backed
 /// (mmap) datasets; variants with ALTER materialize their shrinking
 /// working list on the first round.
-BaselineResult liu_tarjan_variant(const graph::ArcsInput& in,
+core::CcResult liu_tarjan_variant(const graph::ArcsInput& in,
                                   const LtVariant& variant);
 
 }  // namespace logcc::baselines

@@ -1,5 +1,8 @@
 #include "baselines/shiloach_vishkin.hpp"
 
+#include <algorithm>
+
+#include "core/labels.hpp"
 #include "util/check.hpp"
 
 namespace logcc::baselines {
@@ -10,19 +13,19 @@ using graph::VertexId;
 // semantics). Sequential in-place updates would cascade along chains within
 // one round (acting like path compression) and destroy the Θ(log n) round
 // structure the benches measure.
-BaselineResult shiloach_vishkin(const graph::ArcsInput& in) {
+core::CcResult shiloach_vishkin(const graph::ArcsInput& in) {
   const std::uint64_t n = in.num_vertices();
   std::vector<VertexId> d(n), next(n);
   std::vector<std::uint32_t> q(n, 0);
   for (std::uint64_t v = 0; v < n; ++v) d[v] = static_cast<VertexId>(v);
 
-  BaselineResult out;
+  core::CcResult out;
   bool changed = true;
   std::uint32_t iter = 0;
   while (changed) {
     changed = false;
     ++iter;
-    ++out.rounds;
+    ++out.stats.rounds;
 
     // Step 1: one synchronous shortcut; stamp the new parent of every vertex
     // that moved (so any height-≥2 tree stamps its root via a grandchild).
@@ -71,25 +74,15 @@ BaselineResult shiloach_vishkin(const graph::ArcsInput& in) {
     d.swap(next);
 
     // Step 4: shortcut again.
-    next = d;
-    for (std::uint64_t v = 0; v < n; ++v) {
-      VertexId dd = d[d[v]];
-      if (d[v] != dd) {
-        next[v] = dd;
-        changed = true;
-      }
-    }
-    d.swap(next);
+    changed = core::shortcut_step(d, next) || changed;
 
-    LOGCC_CHECK_MSG(out.rounds <= 4096, "SV failed to converge");
+    LOGCC_CHECK_MSG(out.stats.rounds <= 4096, "SV failed to converge");
   }
 
-  // Flatten completely so labels are root ids.
-  for (std::uint64_t v = 0; v < n; ++v) {
-    VertexId r = d[v];
-    while (d[r] != r) r = d[r];
-    d[v] = r;
-  }
+  // The last round's step 4 changed nothing, so every tree is flat and the
+  // labels are root ids.
+  LOGCC_DCHECK(std::all_of(d.begin(), d.end(),
+                           [&](VertexId r) { return d[r] == r; }));
   out.labels = std::move(d);
   return out;
 }

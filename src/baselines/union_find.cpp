@@ -38,14 +38,14 @@ template class BasicDisjointSets<graph::VertexId64>;
 namespace {
 
 template <typename V>
-BasicBaselineResult<V> union_find_impl(const graph::BasicArcsInput<V>& in) {
+core::BasicCcResult<V> union_find_impl(const graph::BasicArcsInput<V>& in) {
   using OrigId = typename graph::BasicArcsInput<V>::OrigId;
   const std::uint64_t n = in.num_vertices();
   BasicDisjointSets<V> ds(n);
   in.for_each_edge([&](V u, V v, OrigId) { ds.unite(u, v); });
 
-  BasicBaselineResult<V> out;
-  out.rounds = 1;
+  core::BasicCcResult<V> out;
+  out.stats.rounds = 1;
   // Canonicalise to min-id labels.
   std::vector<V> min_of(n);
   for (std::uint64_t v = 0; v < n; ++v) min_of[v] = static_cast<V>(v);
@@ -61,11 +61,11 @@ BasicBaselineResult<V> union_find_impl(const graph::BasicArcsInput<V>& in) {
 
 }  // namespace
 
-BaselineResult union_find_cc(const graph::ArcsInput& in) {
+core::CcResult union_find_cc(const graph::ArcsInput& in) {
   return union_find_impl(in);
 }
 
-BaselineResult64 union_find_cc(const graph::ArcsInput64& in) {
+core::CcResult64 union_find_cc(const graph::ArcsInput64& in) {
   return union_find_impl(in);
 }
 

@@ -6,8 +6,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "baselines/shiloach_vishkin.hpp"
-#include "graph/graph.hpp"
+#include "core/metrics.hpp"
+#include "graph/arcs_input.hpp"
 
 namespace logcc::baselines {
 
@@ -37,7 +37,7 @@ extern template class BasicDisjointSets<graph::VertexId64>;
 /// both index widths. Streams edges straight off the backing storage
 /// (zero-copy for CSR datasets); an EdgeList converts implicitly to the
 /// narrow input.
-BaselineResult union_find_cc(const graph::ArcsInput& in);
-BaselineResult64 union_find_cc(const graph::ArcsInput64& in);
+core::CcResult union_find_cc(const graph::ArcsInput& in);
+core::CcResult64 union_find_cc(const graph::ArcsInput64& in);
 
 }  // namespace logcc::baselines

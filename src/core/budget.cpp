@@ -16,32 +16,8 @@ std::uint64_t pow_clamped(double base, double exponent, std::uint64_t cap) {
 }
 }  // namespace
 
-ParamPolicy ParamPolicy::paper(std::uint64_t n, std::uint64_t m) {
-  ParamPolicy p;
-  p.kind = Kind::kPaper;
-  const double log_n = std::log2(std::max<double>(n, 4));
-  // c = 200 makes log^c n astronomically large; after the /log² n division
-  // and the cap the effective b_1 is the cap for any feasible n, which the
-  // paper itself predicts (Assumption 3.1 gives every vertex a huge block
-  // when n is small relative to log^c n).
-  const double c = 200.0;
-  p.budget_cap = std::max<std::uint64_t>(16, util::next_pow2(4 * std::max(n, m)));
-  double b1 = std::max(static_cast<double>(m) / std::max<std::uint64_t>(n, 1),
-                       std::pow(log_n, c)) /
-              (log_n * log_n);
-  p.b1 = b1 >= static_cast<double>(p.budget_cap)
-             ? p.budget_cap
-             : std::max<std::uint64_t>(4, static_cast<std::uint64_t>(b1));
-  p.growth = 1.01;
-  p.raise_coeff = 10.0 * log_n;
-  p.raise_exponent = 0.1;
-  p.table_is_sqrt = true;
-  return p;
-}
-
 ParamPolicy ParamPolicy::practical(std::uint64_t n, std::uint64_t m) {
   ParamPolicy p;
-  p.kind = Kind::kPractical;
   p.budget_cap = std::max<std::uint64_t>(16, util::next_pow2(2 * std::max(n, std::uint64_t{4})));
   p.b1 = std::clamp<std::uint64_t>(m / std::max<std::uint64_t>(n, 1), 4,
                                    p.budget_cap);

@@ -108,16 +108,22 @@ void collect_ongoing(const ParentForest& forest, const std::vector<Arc>& arcs,
 
 namespace {
 
+/// Arc types that carry the input edge they came from (graph::Edge does
+/// not).
+template <typename A>
+concept HasOrig = requires(const A& a) { a.orig; };
+
 /// (u, v, orig) order: groups undirected duplicates, min orig first.
-template <typename V>
-bool arc_less(const BasicArc<V>& a, const BasicArc<V>& b) {
+template <typename A>
+bool arc_less(const A& a, const A& b) {
   if (a.u != b.u) return a.u < b.u;
   if (a.v != b.v) return a.v < b.v;
-  return a.orig < b.orig;
+  if constexpr (HasOrig<A>) return a.orig < b.orig;
+  return false;
 }
 
-template <typename V>
-bool arc_same_pair(const BasicArc<V>& a, const BasicArc<V>& b) {
+template <typename A>
+bool arc_same_pair(const A& a, const A& b) {
   return a.u == b.u && a.v == b.v;
 }
 
@@ -142,27 +148,29 @@ std::size_t dedup_bucket_count(std::size_t n) {
 /// pure function of the input) cannot affect results. Wide ids do not pack
 /// into one 64-bit key, so wide buckets always take the comparison sort —
 /// with the same output, element for element.
-template <typename V>
-std::size_t dedup_bucket(BasicArc<V>* a, std::size_t n) {
-  if constexpr (sizeof(V) == 4) {
+template <typename A>
+std::size_t dedup_bucket(A* a, std::size_t n) {
+  if constexpr (sizeof(a->u) == 4) {
     if (n >= util::kRadixSortCutoff) {
-      util::radix_sort_key64(a, n, [](const BasicArc<V>& x) {
+      util::radix_sort_key64(a, n, [](const A& x) {
         return (static_cast<std::uint64_t>(x.u) << 32) | x.v;
       });
       std::size_t out = 0;
       for (std::size_t i = 0; i < n;) {
-        BasicArc<V> best = a[i];
+        A best = a[i];
         std::size_t j = i + 1;
-        for (; j < n && arc_same_pair(a[j], best); ++j)
-          if (a[j].orig < best.orig) best = a[j];
+        for (; j < n && arc_same_pair(a[j], best); ++j) {
+          if constexpr (HasOrig<A>)
+            if (a[j].orig < best.orig) best = a[j];
+        }
         a[out++] = best;
         i = j;
       }
       return out;
     }
   }
-  std::sort(a, a + n, arc_less<V>);
-  const BasicArc<V>* end = std::unique(a, a + n, arc_same_pair<V>);
+  std::sort(a, a + n, arc_less<A>);
+  const A* end = std::unique(a, a + n, arc_same_pair<A>);
   return static_cast<std::size_t>(end - a);
 }
 
@@ -175,10 +183,10 @@ std::size_t dedup_bucket(BasicArc<V>* a, std::size_t n) {
 // staging lives in arena scratch (round arena on the dispatcher, lane
 // arenas on workers), so a steady-state round's dedup performs no heap
 // allocation.
-template <typename V>
-void dedup_arcs(std::vector<BasicArc<V>>& arcs) {
+template <typename A>
+void dedup_arcs(std::vector<A>& arcs) {
   util::parallel_for(0, arcs.size(), [&](std::size_t i) {
-    BasicArc<V>& a = arcs[i];
+    A& a = arcs[i];
     if (a.u > a.v) std::swap(a.u, a.v);
   });
   const std::size_t n = arcs.size();
@@ -186,26 +194,26 @@ void dedup_arcs(std::vector<BasicArc<V>>& arcs) {
   // The top k bits of mix64(u) for 2^k buckets, written as two shifts so
   // that one bucket (k = 0) maps to 0 instead of shifting by 64.
   const int shift = 63 - std::countr_zero(buckets);
-  util::ScratchBuffer<BasicArc<V>> scattered(n);
+  util::ScratchBuffer<A> scattered(n);
   util::ScratchBuffer<std::size_t> bucket_begin(buckets + 1);
   util::parallel_bucket_partition_into(
       arcs.data(), n, scattered.data(), bucket_begin.span(), buckets,
-      [shift](const BasicArc<V>& a) {
+      [shift](const A& a) {
         return static_cast<std::size_t>((util::mix64(a.u) >> 1) >> shift);
       });
 
   // Sort + unique each bucket in place; record surviving sizes.
   util::ScratchBuffer<std::size_t> kept(buckets);
   util::parallel_for_blocks(buckets, [&](std::size_t k) {
-    BasicArc<V>* lo = scattered.data() + bucket_begin[k];
+    A* lo = scattered.data() + bucket_begin[k];
     kept[k] = dedup_bucket(lo, bucket_begin[k + 1] - bucket_begin[k]);
   });
 
   const std::size_t total = util::parallel_prefix_sum(kept.data(), buckets);
   arcs.resize(total);
   util::parallel_for_blocks(buckets, [&](std::size_t k) {
-    const BasicArc<V>* src = scattered.data() + bucket_begin[k];
-    BasicArc<V>* dst = arcs.data() + kept[k];
+    const A* src = scattered.data() + bucket_begin[k];
+    A* dst = arcs.data() + kept[k];
     const std::size_t len = (k + 1 < buckets ? kept[k + 1] : total) - kept[k];
     std::copy(src, src + len, dst);
   });
@@ -217,6 +225,7 @@ template std::uint64_t drop_loops(std::vector<Arc>&);
 template std::uint64_t drop_loops(std::vector<Arc64>&);
 template void dedup_arcs(std::vector<Arc>&);
 template void dedup_arcs(std::vector<Arc64>&);
+template void dedup_arcs(std::vector<graph::Edge>&);
 
 namespace {
 

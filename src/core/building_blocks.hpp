@@ -72,16 +72,18 @@ void alter(std::vector<BasicArc<V>>& arcs, const BasicParentForest<V>& forest);
 template <typename V>
 std::uint64_t drop_loops(std::vector<BasicArc<V>>& arcs);
 
-/// Dedup on (u, v) treating arcs as undirected; keeps the minimum `orig`
-/// per surviving pair. Controls arc-list growth after ALTERs. One path for
-/// every size: bucket-partition by mix64(u) high bits, then sort + unique
-/// each bucket in parallel. Lists below 16,384 arcs form one bucket, so
-/// their output is fully (u, v)-sorted. The bucket count is a function of
-/// the size only, so for a given input the output (including its order) is
-/// identical on every thread count — and on both widths, for ids that fit
-/// both.
-template <typename V>
-void dedup_arcs(std::vector<BasicArc<V>>& arcs);
+/// Dedup on (u, v) treating arcs as undirected: orients every arc u <= v,
+/// then keeps one per pair, the minimum `orig`. Controls arc-list growth
+/// after ALTERs. One path for every size: bucket-partition by mix64(u) high
+/// bits, then sort + unique each bucket in parallel. Lists below 16,384
+/// arcs form one bucket, so their output is fully (u, v)-sorted. The bucket
+/// count is a function of the size only, so for a given input the output
+/// (including its order) is identical on every thread count — and on both
+/// widths, for ids that fit both. Instantiated for Arc, Arc64 and
+/// graph::Edge, the Liu–Tarjan lab's ALTER list, which has no `orig`: equal
+/// pairs are equal edges.
+template <typename A>
+void dedup_arcs(std::vector<A>& arcs);
 
 /// Byte-flag ongoing set: resizes `flags` to n and sets flags[v] to 1 iff v
 /// is an endpoint of a non-loop arc — the "ongoing" vertices of a phase —

@@ -14,23 +14,6 @@
 
 namespace logcc::core {
 
-Theorem1Params Theorem1Params::paper(std::uint64_t n, std::uint64_t m) {
-  (void)m;
-  Theorem1Params p;
-  p.block_exp = 2.0 / 3.0;
-  p.table_exp = 1.0 / 3.0;
-  p.b_exp = 1.0 / 18.0;
-  p.min_table_capacity = 2;
-  // log^c n with c = 100: at feasible n this exceeds any real m/n, so
-  // PREPARE dominates — exactly what the theory predicts for small inputs.
-  double log_n = std::log2(std::max<double>(n, 4));
-  p.prepare_target_density = std::pow(log_n, 100.0);
-  p.prepare_max_phases =
-      static_cast<std::uint64_t>(100.0 * util::log_base(std::max(4.0, std::log2(std::max<double>(n, 4))), 8.0 / 7.0)) +
-      8;
-  return p;
-}
-
 void expand_loop(ParentForest& forest, std::vector<Arc>& arcs,
                  std::uint64_t m0, const Theorem1Params& params,
                  const ExpandSchedule& schedule, RunStats& stats) {

@@ -32,21 +32,24 @@ namespace logcc::core {
 struct Theorem1Params {
   std::uint64_t seed = 1;
 
-  // Per-phase sizing from the density δ = m / n' (paper exponents in
-  // comments): block size δ^block_exp (2/3), table |H(u)| = δ^table_exp
-  // (1/3), progress parameter b = δ^b_exp (1/18). The practical defaults
-  // trade the asymptotic constants for progress a run can show: at δ = 64
-  // the paper's b = δ^{1/18} ≈ 1.26 sits on its floor of 2 and its tables
-  // hold 4 entries, so a phase barely shrinks the graph; the defaults give
-  // b = 4 and 16-entry tables.
+  // Per-phase sizing from the density δ = m / n'. The paper's exponents:
+  // block size δ^{2/3}, table |H(u)| = δ^{1/3}, progress parameter
+  // b = δ^{1/18}, tables of at least 2 entries. The defaults stand in for
+  // them with progress a run can show: at δ = 64 the paper's b ≈ 1.26 sits
+  // on its floor of 2 and its tables hold 4 entries, so a phase barely
+  // shrinks the graph; the defaults give b = 4 and 16-entry tables.
   double block_exp = 2.0 / 3.0;
   double table_exp = 2.0 / 3.0;
   double b_exp = 1.0 / 3.0;
   std::uint32_t min_table_capacity = 8;
 
-  /// PREPARE runs Vanilla phases until m/n' reaches this density (the
-  /// paper's log^c n) or the graph is solved or the phase budget runs out
-  /// (PrepareRule::target_density and max_phases).
+  /// PREPARE runs Vanilla phases until m/n' reaches this density or the
+  /// graph is solved or the phase budget runs out
+  /// (PrepareRule::target_density and max_phases). The paper's target is
+  /// log^{100} n, which exceeds every feasible m/n, with a budget of
+  /// 100 · log_{8/7} log n + 8 phases that outlasts Vanilla's O(log n): at
+  /// feasible n PREPARE would solve the whole graph and no EXPAND phase
+  /// would run. 64 stands in for it.
   double prepare_target_density = 64.0;
   std::uint64_t prepare_max_phases = PrepareRule::kAutoPhases;
 
@@ -58,12 +61,6 @@ struct Theorem1Params {
   /// true  — n' counted exactly (the COMBINING CRCW assumption B.6);
   /// false — the ñ update rule of §B.5 (pure ARBITRARY CRCW).
   bool exact_count = true;
-
-  /// Paper-faithful exponents. This mode mostly degenerates to PREPARE at
-  /// feasible n: its density target log^100 n exceeds every feasible m/n,
-  /// and its budget of 100 · log_{8/7} log n + 8 phases outlasts Vanilla's
-  /// O(log n) phases, so PREPARE runs until the graph is solved.
-  static Theorem1Params paper(std::uint64_t n, std::uint64_t m);
 };
 
 /// What a caller of expand_loop picks. Phase p (from 1) seeds EXPAND with

@@ -8,6 +8,7 @@
 #include "core/round_arena.hpp"
 #include "core/vanilla.hpp"
 #include "graph/graph_algos.hpp"
+#include "util/check.hpp"
 #include "util/timer.hpp"
 
 namespace logcc {
@@ -43,84 +44,57 @@ std::optional<Algorithm> algorithm_from_string(const std::string& name) {
   return std::nullopt;
 }
 
+namespace {
+
+/// One call per algorithm, every one returning core::CcResult.
+core::CcResult run_cc(const graph::ArcsInput& in, Algorithm algorithm,
+                      const Options& options) {
+  switch (algorithm) {
+    case Algorithm::kFasterCC: {
+      core::FasterCcParams p = options.faster;
+      p.seed = options.seed;
+      return core::faster_cc(in, p);
+    }
+    case Algorithm::kTheorem1:
+      return core::theorem1_cc(in, {.seed = options.seed});
+    case Algorithm::kVanilla: return core::vanilla_cc(in, options.seed);
+    case Algorithm::kShiloachVishkin: return baselines::shiloach_vishkin(in);
+    case Algorithm::kAwerbuchShiloach: return baselines::awerbuch_shiloach(in);
+    case Algorithm::kLabelProp: return baselines::label_propagation(in);
+    case Algorithm::kLiuTarjan: return baselines::liu_tarjan(in);
+    case Algorithm::kUnionFind: return baselines::union_find_cc(in);
+    case Algorithm::kBFS: return baselines::bfs_cc(in);
+  }
+  LOGCC_CHECK_MSG(false, "unknown Algorithm");
+}
+
+core::SfResult run_sf(const graph::ArcsInput& in, SfAlgorithm algorithm,
+                      const Options& options) {
+  switch (algorithm) {
+    case SfAlgorithm::kTheorem2:
+      return core::theorem2_sf(in, {.seed = options.seed});
+    case SfAlgorithm::kVanillaSF: return core::vanilla_sf(in, options.seed);
+  }
+  LOGCC_CHECK_MSG(false, "unknown SfAlgorithm");
+}
+
+}  // namespace
+
 ComponentsResult connected_components(const graph::ArcsInput& in,
                                       Algorithm algorithm,
                                       const Options& options) {
   ComponentsResult out;
-  std::vector<graph::VertexId> labels;
   // One round-scratch arena for the whole run: the paper drivers install
   // their own (inner scopes no-op), and the round-loop baselines get the
   // same steady-state zero-allocation behaviour through this one.
   core::RoundArena round_arena;
   core::RoundArena::Scope arena_scope(round_arena);
   util::Timer timer;
-  switch (algorithm) {
-    case Algorithm::kFasterCC: {
-      core::FasterCcParams p = options.faster;
-      p.seed = options.seed;
-      p.policy = options.policy;
-      auto r = core::faster_cc(in, p);
-      labels = std::move(r.labels);
-      out.stats = r.stats;
-      break;
-    }
-    case Algorithm::kTheorem1: {
-      core::Theorem1Params p =
-          options.policy == core::ParamPolicy::Kind::kPaper
-              ? core::Theorem1Params::paper(in.num_vertices(), in.num_edges())
-              : options.theorem1;
-      p.seed = options.seed;
-      auto r = core::theorem1_cc(in, p);
-      labels = std::move(r.labels);
-      out.stats = r.stats;
-      break;
-    }
-    case Algorithm::kVanilla: {
-      auto r = core::vanilla_cc(in, options.seed);
-      labels = std::move(r.labels);
-      out.stats = r.stats;
-      break;
-    }
-    case Algorithm::kShiloachVishkin: {
-      auto r = baselines::shiloach_vishkin(in);
-      labels = std::move(r.labels);
-      out.stats.rounds = r.rounds;
-      break;
-    }
-    case Algorithm::kAwerbuchShiloach: {
-      auto r = baselines::awerbuch_shiloach(in);
-      labels = std::move(r.labels);
-      out.stats.rounds = r.rounds;
-      break;
-    }
-    case Algorithm::kLabelProp: {
-      auto r = baselines::label_propagation(in);
-      labels = std::move(r.labels);
-      out.stats.rounds = r.rounds;
-      break;
-    }
-    case Algorithm::kLiuTarjan: {
-      auto r = baselines::liu_tarjan(in);
-      labels = std::move(r.labels);
-      out.stats.rounds = r.rounds;
-      break;
-    }
-    case Algorithm::kUnionFind: {
-      auto r = baselines::union_find_cc(in);
-      labels = std::move(r.labels);
-      out.stats.rounds = r.rounds;
-      break;
-    }
-    case Algorithm::kBFS: {
-      auto r = baselines::bfs_cc(in);
-      labels = std::move(r.labels);
-      out.stats.rounds = r.rounds;
-      break;
-    }
-  }
+  core::CcResult r = run_cc(in, algorithm, options);
+  out.stats = std::move(r.stats);
   // Canonicalize + sizes + count in one snapshot build — every algorithm
   // exits through the same ComponentIndex vocabulary.
-  out.index = core::ComponentIndex::from_labels(std::move(labels));
+  out.index = core::ComponentIndex::from_labels(std::move(r.labels));
   out.seconds = timer.seconds();
   return out;
 }
@@ -131,22 +105,9 @@ ForestResult spanning_forest(const graph::ArcsInput& in, SfAlgorithm algorithm,
   core::RoundArena round_arena;
   core::RoundArena::Scope arena_scope(round_arena);
   util::Timer timer;
-  switch (algorithm) {
-    case SfAlgorithm::kTheorem2: {
-      core::SpanningForestParams p = options.theorem1;
-      p.seed = options.seed;
-      auto r = core::theorem2_sf(in, p);
-      out.forest_edges = std::move(r.forest_edges);
-      out.stats = r.stats;
-      break;
-    }
-    case SfAlgorithm::kVanillaSF: {
-      auto r = core::vanilla_sf(in, options.seed);
-      out.forest_edges = std::move(r.forest_edges);
-      out.stats = r.stats;
-      break;
-    }
-  }
+  core::SfResult r = run_sf(in, algorithm, options);
+  out.forest_edges = std::move(r.forest_edges);
+  out.stats = std::move(r.stats);
   out.seconds = timer.seconds();
   return out;
 }
@@ -182,12 +143,6 @@ bool verify_components(const graph::ArcsInput& in,
       return false;
   }
   return true;
-}
-
-bool verify_components(const graph::ArcsInput& in,
-                       const std::vector<graph::VertexId>& labels) {
-  if (labels.size() != in.num_vertices()) return false;
-  return verify_components(in, core::ComponentIndex::from_labels(labels));
 }
 
 }  // namespace logcc

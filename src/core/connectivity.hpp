@@ -51,12 +51,13 @@ const char* to_string(Algorithm a);
 /// Parses the names printed by to_string; nullopt for any other name.
 std::optional<Algorithm> algorithm_from_string(const std::string& name);
 
+/// The seed drives every randomized algorithm (faster-cc, theorem1,
+/// vanilla and both SF algorithms); the deterministic baselines ignore it.
+/// `faster` tunes faster-cc only (its own seed is overridden by `seed`);
+/// theorem1 and theorem2 run their default Theorem1Params.
 struct Options {
   std::uint64_t seed = 1;
-  core::ParamPolicy::Kind policy = core::ParamPolicy::Kind::kPractical;
-  /// Overrides for the paper drivers; leave default for auto.
   core::FasterCcParams faster;
-  core::Theorem1Params theorem1;
 };
 
 struct ComponentsResult {
@@ -98,15 +99,10 @@ ForestResult spanning_forest(const graph::ArcsInput& in,
 /// structure of the input: every edge joins equal labels, and the index's
 /// component count AND per-component sizes match a union-find recomputation
 /// (no shared code with the PRAM algorithms) — all in the same pass. Use
-/// when the caller wants a certificate rather than trust. The ArcsInput
-/// overload verifies mmap-backed datasets without materializing their
-/// edges.
+/// when the caller wants a certificate rather than trust. mmap-backed
+/// datasets verify without materializing their edges. To check a bare
+/// label vector, wrap it with ComponentIndex::from_labels.
 bool verify_components(const graph::ArcsInput& in,
                        const core::ComponentIndex& index);
-/// Label-vector shims (legacy): wrap `labels` in a ComponentIndex (via
-/// from_labels) and verify that. Equal labels iff same component is still
-/// the only contract on the input vector.
-bool verify_components(const graph::ArcsInput& in,
-                       const std::vector<graph::VertexId>& labels);
 
 }  // namespace logcc

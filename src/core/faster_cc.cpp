@@ -37,12 +37,8 @@ CcResult faster_cc(const graph::ArcsInput& in, const FasterCcParams& params) {
 
   // ---- Main loop on the compact graph.
   const std::uint64_t m0 = std::max<std::uint64_t>(comp.arcs.size(), 1);
-  ParamPolicy policy =
-      params.policy_override.has_value()
-          ? *params.policy_override
-          : (params.policy == ParamPolicy::Kind::kPaper
-                 ? ParamPolicy::paper(comp.n_compact, m0)
-                 : ParamPolicy::practical(comp.n_compact, m0));
+  const ParamPolicy policy = params.policy_override.value_or(
+      ParamPolicy::practical(comp.n_compact, m0));
 
   ExpandMaxlink engine(comp.n_compact, comp.arcs, comp.exists, policy,
                        util::mix64(params.seed, 0xFA57), out.stats);
@@ -75,7 +71,7 @@ CcResult faster_cc(const graph::ArcsInput& in, const FasterCcParams& params) {
     alter(rest, engine.forest());
     drop_loops(rest);
     dedup_arcs(rest);
-    Theorem1Params t1 = params.postprocess;
+    Theorem1Params t1;
     t1.seed = util::mix64(params.seed, 0x7E0);
     if (!broke) out.stats.finisher_used = true;
     theorem1_phases(engine.forest(), rest, m0, t1, out.stats);

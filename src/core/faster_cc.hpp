@@ -8,7 +8,8 @@
 // everything within distance 2, Lemma 3.20/D.24) while the level/budget
 // machinery keeps total space O(m); the additive log log term comes from
 // COMPACT's PREPARE (the one shared with Theorems 1 and 2, in
-// core/vanilla.hpp) and the postprocess.
+// core/vanilla.hpp) and the postprocess, Theorem 1's phase loop with its
+// default Theorem1Params.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +25,10 @@ namespace logcc::core {
 
 struct FasterCcParams {
   std::uint64_t seed = 1;
-  ParamPolicy::Kind policy = ParamPolicy::Kind::kPractical;
 
-  /// When set, used verbatim instead of deriving a policy from (n, m) —
-  /// the ablation benches tweak growth/raise exponents/table shape here.
+  /// When set, used verbatim instead of ParamPolicy::practical of the
+  /// compact graph — the ablation benches put the paper's growth, raise
+  /// exponents or √b tables back here, field by field.
   std::optional<ParamPolicy> policy_override;
 
   /// COMPACT's PREPARE rule: density target (the paper's log^c n) and
@@ -38,9 +39,6 @@ struct FasterCcParams {
   /// 0 = automatic: C·(log2 n + log log n) + K rounds before the
   /// deterministic finisher takes over.
   std::uint64_t max_rounds = 0;
-
-  /// Parameters for the Theorem-1 postprocess on the remaining graph.
-  Theorem1Params postprocess;
 };
 
 /// CSR-backed inputs ingest without an EdgeList; an EdgeList converts

@@ -37,6 +37,8 @@ struct RunStats {
   bool finisher_used = false;   // guaranteed-convergent fallback fired
   bool prepare_used = false;    // PREPARE/COMPACT densification ran
 
+  friend bool operator==(const RunStats&, const RunStats&) = default;
+
   void bump_level_histogram(std::uint32_t level) {
     if (level_histogram.size() <= level) level_histogram.resize(level + 1, 0);
     ++level_histogram[level];
@@ -63,9 +65,10 @@ struct RunStats {
   }
 };
 
-/// What a connected-components algorithm returns: a root id per vertex
-/// plus the run's counters. CcResult64 is the wide (LOGCCSR2)
-/// instantiation.
+/// What every connected-components algorithm returns — the paper's three
+/// and the baselines alike: a root id per vertex plus the run's counters (a
+/// round-loop baseline fills only `rounds`). CcResult64 is the wide
+/// (LOGCCSR2) instantiation.
 template <typename V>
 struct BasicCcResult {
   std::vector<V> labels;
@@ -74,5 +77,12 @@ struct BasicCcResult {
 
 using CcResult = BasicCcResult<graph::VertexId>;
 using CcResult64 = BasicCcResult<graph::VertexId64>;
+
+/// What every spanning-forest algorithm returns: the forest as ascending
+/// indices into the input's canonical edge order, plus the run's counters.
+struct SfResult {
+  std::vector<std::uint64_t> forest_edges;
+  RunStats stats;
+};
 
 }  // namespace logcc::core

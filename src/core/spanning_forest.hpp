@@ -22,9 +22,6 @@
 // are sized as Theorem 1's are, exact_count's ñ rule included.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "core/cc_theorem1.hpp"
 #include "core/metrics.hpp"
 #include "graph/graph.hpp"
@@ -32,11 +29,6 @@
 namespace logcc::core {
 
 using SpanningForestParams = Theorem1Params;
-
-struct SfResult {
-  std::vector<std::uint64_t> forest_edges;  // canonical edge indices
-  RunStats stats;
-};
 
 /// CSR-backed inputs ingest without an EdgeList; an EdgeList converts
 /// implicitly. forest_edges index the input's canonical edge order

@@ -164,8 +164,8 @@ CcResult64 vanilla_cc(const graph::ArcsInput64& in, std::uint64_t seed) {
   return vanilla_cc_impl(in, seed);
 }
 
-VanillaSfResult vanilla_sf(const graph::ArcsInput& in, std::uint64_t seed) {
-  VanillaSfResult out;
+SfResult vanilla_sf(const graph::ArcsInput& in, std::uint64_t seed) {
+  SfResult out;
   RoundArena round_arena;
   RoundArena::Scope arena_scope(round_arena);
   ParentForest forest(in.num_vertices());

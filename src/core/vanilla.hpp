@@ -99,12 +99,7 @@ std::uint64_t prepare(ParentForest& forest, std::vector<Arc>& arcs,
 CcResult vanilla_cc(const graph::ArcsInput& in, std::uint64_t seed = 1);
 CcResult64 vanilla_cc(const graph::ArcsInput64& in, std::uint64_t seed = 1);
 
-struct VanillaSfResult {
-  std::vector<std::uint64_t> forest_edges;  // canonical edge indices
-  RunStats stats;
-};
-
 /// Standalone Vanilla-SF spanning forest.
-VanillaSfResult vanilla_sf(const graph::ArcsInput& in, std::uint64_t seed = 1);
+SfResult vanilla_sf(const graph::ArcsInput& in, std::uint64_t seed = 1);
 
 }  // namespace logcc::core

@@ -108,7 +108,7 @@ inline BasicCsrView<V> csr_view(const BasicGraph<V>& g) {
 /// either an edge span or a CSR view. See the file comment for the
 /// canonical order and ownership rules. CSR-backed inputs must satisfy the
 /// validate_csr invariants (sorted symmetric adjacency, consistent edge
-/// count) — load_dataset-produced views always do.
+/// count) — load_dataset_zero_copy-produced views always do.
 template <typename V>
 class BasicArcsInput {
  public:

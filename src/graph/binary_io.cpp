@@ -588,37 +588,4 @@ bool load_dataset_zero_copy(const std::string& spec, DatasetHandle& out,
   return true;
 }
 
-bool load_dataset(const std::string& spec, EdgeList& out, DatasetInfo* info,
-                  std::string* error) {
-  DatasetHandle h;
-  if (!load_dataset_zero_copy(spec, h, error)) return false;
-  if (h.wide()) {
-    // A wide file whose counts fit the narrow caps can still serve a
-    // narrow-EdgeList consumer; a genuinely wide one cannot — be explicit
-    // about which.
-    const CsrView64& v = h.bg_.view64();
-    if (v.n > kNarrowCap || v.edges > kNarrowCap) {
-      set_error(error, "'" + spec +
-                           "' is a wide LOGCCSR2 dataset; it exceeds the "
-                           "32-bit EdgeList path (use the wide input)");
-      return false;
-    }
-    util::Timer timer;
-    out = EdgeList{};
-    out.n = v.n;
-    out.edges.reserve(v.edges);
-    for (std::uint64_t u = 0; u < v.n; ++u) {
-      for (VertexId64 w : csr_suffix(v, u))
-        out.add(static_cast<VertexId>(u), static_cast<VertexId>(w));
-    }
-    h.info_.materialize_seconds += timer.seconds();
-    if (info) *info = h.info();
-    return true;
-  }
-  h.edges();  // materialize CSR-backed inputs (timed into the info record)
-  out = std::move(h.el_);
-  if (info) *info = h.info();
-  return true;
-}
-
 }  // namespace logcc::graph

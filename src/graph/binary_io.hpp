@@ -114,10 +114,11 @@ bool validate_csr_structure(const CsrView64& v, std::string* error = nullptr);
 
 /// Deep validation: validate_csr_structure plus arc symmetry (every arc has
 /// its reverse) and header edge-count consistency. O(n + m log deg).
-/// load_dataset runs this on every binary file before handing the graph to
-/// an algorithm (structure alone would let an asymmetric file silently
-/// drop edges); tests and `cc_tool --convert` run it after writing. The
-/// narrow overload additionally enforces the 32-bit orig-index cap.
+/// load_dataset_zero_copy runs this on every binary file before handing the
+/// graph to an algorithm (structure alone would let an asymmetric file
+/// silently drop edges); tests and `cc_tool --convert` run it after
+/// writing. The narrow overload additionally enforces the 32-bit
+/// orig-index cap.
 bool validate_csr(const CsrView& v, std::string* error = nullptr);
 bool validate_csr(const CsrView64& v, std::string* error = nullptr);
 
@@ -175,7 +176,8 @@ bool sniff_binary_csr(const std::string& path);
 EdgeList edge_list_from_csr(const CsrView& v);
 EdgeList64 edge_list_from_csr(const CsrView64& v);
 
-/// How load_dataset obtained the graph, for bench provenance records.
+/// How load_dataset_zero_copy obtained the graph, for bench provenance
+/// records.
 struct DatasetInfo {
   std::string name;       // basename or generator spec
   std::string source;     // "binary-mmap" | "binary-copy" | "text" | "generator"
@@ -191,29 +193,19 @@ struct DatasetInfo {
   util::MmapPopulate populate = util::MmapPopulate::kNone;
 };
 
-/// Parses a "family:n[:seed]" generator spec (what load_dataset accepts
-/// after "gen:" and what cc_tool/cc_bench take via --generate). Returns
-/// false on a missing ':' or when n parses to 0, so a typo'd number can
-/// never silently become a tiny dataset. `seed` keeps its incoming value
-/// (the caller's default) when the spec has no seed field.
+/// Parses a "family:n[:seed]" generator spec (what load_dataset_zero_copy
+/// accepts after "gen:" and what cc_tool/cc_bench take via --generate).
+/// Returns false on a missing ':' or when n parses to 0, so a typo'd
+/// number can never silently become a tiny dataset. `seed` keeps its
+/// incoming value (the caller's default) when the spec has no seed field.
 bool parse_generator_spec(const std::string& spec, std::string& family,
                           std::uint64_t& n, std::uint64_t& seed);
 
-/// Unified dataset resolution shared by cc_tool and cc_bench:
-///   "gen:family:n[:seed]"   -> in-memory generator output
-///   path to LOGCCSR1/2 file -> mmap load + edge list re-materialization
-///   any other path          -> text edge-list parse
-/// Returns false with a reason on unreadable/invalid input. A LOGCCSR2
-/// file whose counts fit the 32-bit caps materializes into the narrow
-/// EdgeList; a genuinely wide one is a clean error naming the wide path.
-bool load_dataset(const std::string& spec, EdgeList& out,
-                  DatasetInfo* info = nullptr, std::string* error = nullptr);
-
 /// A resolved dataset that OWNS its backing storage and hands out a
-/// non-owning ArcsInput over it. This is the zero-copy counterpart of
-/// load_dataset: for binary files the input aliases the mmap pages and no
-/// EdgeList is ever materialized; for text/generator sources the handle
-/// owns the edge vector the input views. Move-only (it may hold an mmap).
+/// non-owning ArcsInput over it: for binary files the input aliases the
+/// mmap pages and no EdgeList is materialized unless edges() asks for one;
+/// for text/generator sources the handle owns the edge vector the input
+/// views. Move-only (it may hold an mmap).
 /// LOGCCSR2 files resolve to the wide input (wide() == true, use
 /// input64()); every other source resolves narrow.
 ///
@@ -243,8 +235,6 @@ class DatasetHandle {
  private:
   friend bool load_dataset_zero_copy(const std::string&, DatasetHandle&,
                                      std::string*, util::MmapPopulate);
-  friend bool load_dataset(const std::string&, EdgeList&, DatasetInfo*,
-                           std::string*);
   BinaryGraph bg_;   // keeps the mmap alive for CSR-backed inputs
   EdgeList el_;      // backing for text/generator (or materialized) edges
   bool materialized_ = false;
@@ -254,11 +244,15 @@ class DatasetHandle {
   DatasetInfo info_;
 };
 
-/// Zero-copy variant of load_dataset — same spec grammar, same validation,
-/// but binary files stay in their mmap'd CSR form: info().load_seconds
-/// covers open + deep validate only and materialize_seconds stays 0 unless
-/// the caller asks for edges(). cc_bench/cc_tool run algorithms straight
-/// off handle.input(). `populate` selects eager page population for binary
+/// Unified dataset resolution shared by cc_tool and cc_bench:
+///   "gen:family:n[:seed]"   -> in-memory generator output
+///   path to LOGCCSR1/2 file -> mmap load + deep validation (validate_csr)
+///   any other path          -> text edge-list parse
+/// Returns false with a reason on unreadable/invalid input. Binary files
+/// stay in their mmap'd CSR form: info().load_seconds covers open + deep
+/// validate only and materialize_seconds stays 0 unless the caller asks
+/// for edges(). cc_bench/cc_tool run algorithms straight off
+/// handle.input(). `populate` selects eager page population for binary
 /// (mmap) sources and is recorded in info().populate (cc_bench
 /// --populate).
 bool load_dataset_zero_copy(const std::string& spec, DatasetHandle& out,

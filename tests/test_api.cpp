@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "baselines/awerbuch_shiloach.hpp"
+#include "baselines/bfs_cc.hpp"
+#include "baselines/label_propagation.hpp"
+#include "baselines/shiloach_vishkin.hpp"
+#include "baselines/union_find.hpp"
+#include "core/vanilla.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_algos.hpp"
 #include "test_support.hpp"
@@ -83,15 +92,48 @@ TEST(Api, SpanningForestBothAlgorithms) {
 }
 
 TEST(Api, OptionsSeedThreadsThrough) {
+  // The front door makes the same call, with the same seed, as a direct
+  // driver or baseline call: the same index, forest and RunStats. Seeds
+  // other than the default 1 show the seed really reaches the driver.
   auto el = graph::make_gnm(100, 250, 9);
   const auto in = graph::ArcsInput::from_edges(el);
-  Options a, b;
-  a.seed = 1;
-  b.seed = 2;
-  auto ra = connected_components(in, Algorithm::kVanilla, a);
-  auto rb = connected_components(in, Algorithm::kVanilla, b);
-  // Different seeds: same partition (correctness) even if internals differ.
-  EXPECT_TRUE(graph::same_partition(ra.labels(), rb.labels()));
+  for (std::uint64_t seed : {3ULL, 11ULL}) {
+    Options opt;
+    opt.seed = seed;
+    core::FasterCcParams fp;
+    fp.seed = seed;
+    const std::vector<std::pair<Algorithm, core::CcResult>> direct = {
+        {Algorithm::kFasterCC, core::faster_cc(in, fp)},
+        {Algorithm::kTheorem1, core::theorem1_cc(in, {.seed = seed})},
+        {Algorithm::kVanilla, core::vanilla_cc(in, seed)},
+        {Algorithm::kShiloachVishkin, baselines::shiloach_vishkin(in)},
+        {Algorithm::kAwerbuchShiloach, baselines::awerbuch_shiloach(in)},
+        {Algorithm::kLabelProp, baselines::label_propagation(in)},
+        {Algorithm::kLiuTarjan, baselines::liu_tarjan(in)},
+        {Algorithm::kUnionFind, baselines::union_find_cc(in)},
+        {Algorithm::kBFS, baselines::bfs_cc(in)},
+    };
+    ASSERT_EQ(direct.size(), all_algorithms().size());
+    for (const auto& [alg, d] : direct) {
+      auto r = connected_components(in, alg, opt);
+      EXPECT_TRUE(r.index == core::ComponentIndex::from_labels(d.labels))
+          << to_string(alg) << " seed=" << seed;
+      EXPECT_TRUE(r.stats == d.stats) << to_string(alg) << " seed=" << seed;
+      EXPECT_TRUE(logcc::testing::matches_oracle(el, r.labels()))
+          << to_string(alg) << " seed=" << seed;
+    }
+    const std::vector<std::pair<SfAlgorithm, core::SfResult>> direct_sf = {
+        {SfAlgorithm::kTheorem2, core::theorem2_sf(in, {.seed = seed})},
+        {SfAlgorithm::kVanillaSF, core::vanilla_sf(in, seed)},
+    };
+    for (const auto& [alg, d] : direct_sf) {
+      auto r = spanning_forest(in, alg, opt);
+      EXPECT_EQ(r.forest_edges, d.forest_edges)
+          << static_cast<int>(alg) << " seed=" << seed;
+      EXPECT_TRUE(r.stats == d.stats)
+          << static_cast<int>(alg) << " seed=" << seed;
+    }
+  }
 }
 
 TEST(Api, LegacyEdgeListShimsStillForward) {
@@ -102,7 +144,7 @@ TEST(Api, LegacyEdgeListShimsStillForward) {
   auto legacy = connected_components(el);
   auto front = connected_components(graph::ArcsInput::from_edges(el));
   EXPECT_TRUE(legacy.index == front.index);
-  EXPECT_TRUE(verify_components(el, legacy.labels()));
+  EXPECT_TRUE(verify_components(el, legacy.index));
   auto f = spanning_forest(el);
   EXPECT_TRUE(graph::validate_spanning_forest(el, f.forest_edges).ok);
 }
@@ -130,13 +172,12 @@ TEST(Api, VerifyComponentsAcceptsTrueLabels) {
   for (auto alg : all_algorithms()) {
     auto r = connected_components(in, alg);
     EXPECT_TRUE(verify_components(in, r.index)) << to_string(alg);
-    EXPECT_TRUE(verify_components(in, r.labels())) << to_string(alg);
   }
 }
 
 TEST(Api, VerifyComponentsRejectsWrongSizes) {
   // Same partition, doctored sizes: only the index-level certificate can
-  // see this — the label shim canonicalizes and recounts.
+  // see this — from_labels canonicalizes and recounts.
   auto el = graph::make_path(6);
   const auto in = graph::ArcsInput::from_edges(el);
   auto good = core::ComponentIndex::from_labels(
@@ -148,19 +189,22 @@ TEST(Api, VerifyComponentsRejectsMergedClasses) {
   // Two components labeled as one: edge check passes, count check fails.
   auto el = graph::disjoint_union({graph::make_path(4), graph::make_path(3)});
   std::vector<graph::VertexId> merged(el.n, 0);
-  EXPECT_FALSE(verify_components(el, merged));
+  EXPECT_FALSE(
+      verify_components(el, core::ComponentIndex::from_labels(merged)));
 }
 
 TEST(Api, VerifyComponentsRejectsSplitClasses) {
   // One component labeled as two: some edge crosses classes.
   auto el = graph::make_path(6);
   std::vector<graph::VertexId> split{0, 0, 0, 3, 3, 3};
-  EXPECT_FALSE(verify_components(el, split));
+  EXPECT_FALSE(verify_components(el, core::ComponentIndex::from_labels(split)));
 }
 
 TEST(Api, VerifyComponentsRejectsSizeMismatch) {
   auto el = graph::make_path(5);
-  EXPECT_FALSE(verify_components(el, {0, 0, 0}));
+  EXPECT_FALSE(verify_components(
+      el, core::ComponentIndex::from_labels(
+              std::vector<graph::VertexId>{0, 0, 0})));
 }
 
 TEST(Api, QuickstartSnippetWorks) {

@@ -1,20 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "baselines/awerbuch_shiloach.hpp"
 #include "baselines/bfs_cc.hpp"
 #include "baselines/label_propagation.hpp"
+#include "baselines/lt_family.hpp"
 #include "baselines/shiloach_vishkin.hpp"
 #include "baselines/union_find.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_algos.hpp"
 #include "test_support.hpp"
+#include "util/parallel.hpp"
 
 namespace logcc::baselines {
 namespace {
 
 using logcc::testing::matches_oracle;
 
-using CcFn = BaselineResult (*)(const graph::ArcsInput&);
+using CcFn = core::CcResult (*)(const graph::ArcsInput&);
 
 struct Named {
   const char* name;
@@ -50,8 +56,8 @@ TEST(Baselines, AllAgreePairwise) {
 
 TEST(ShiloachVishkin, LogRounds) {
   auto r = shiloach_vishkin(graph::make_path(4096));
-  EXPECT_LE(r.rounds, 30u);  // ~log2(4096)=12 with constant slack
-  EXPECT_GE(r.rounds, 4u);
+  EXPECT_LE(r.stats.rounds, 30u);  // ~log2(4096)=12 with constant slack
+  EXPECT_GE(r.stats.rounds, 4u);
 }
 
 TEST(AwerbuchShiloach, LogRounds) {
@@ -59,26 +65,26 @@ TEST(AwerbuchShiloach, LogRounds) {
   // between hooks); check the growth is logarithmic, not the constant.
   auto small = awerbuch_shiloach(graph::make_path(256));
   auto big = awerbuch_shiloach(graph::make_path(4096));
-  EXPECT_GE(big.rounds, 4u);
-  EXPECT_LE(big.rounds, 8 * 12 + 8u);
+  EXPECT_GE(big.stats.rounds, 4u);
+  EXPECT_LE(big.stats.rounds, 8 * 12 + 8u);
   // Growing n by 16x (log2: 8 -> 12) must scale rounds like the log ratio
   // (~1.5x, slack to 2.8x), ruling out polynomial growth (16x).
-  EXPECT_LE(big.rounds * 10, small.rounds * 28);
+  EXPECT_LE(big.stats.rounds * 10, small.stats.rounds * 28);
 }
 
 TEST(LabelPropagation, ThetaDiameterRounds) {
   auto path = label_propagation(graph::make_path(200));
   // Min label spreads one hop per round: rounds ≈ d.
-  EXPECT_GE(path.rounds, 150u);
-  EXPECT_LE(path.rounds, 220u);
+  EXPECT_GE(path.stats.rounds, 150u);
+  EXPECT_LE(path.stats.rounds, 220u);
   auto star = label_propagation(graph::make_star(200));
-  EXPECT_LE(star.rounds, 4u);
+  EXPECT_LE(star.stats.rounds, 4u);
 }
 
 TEST(LiuTarjan, FasterThanLabelPropOnPaths) {
   auto lt = liu_tarjan(graph::make_path(512));
   auto lp = label_propagation(graph::make_path(512));
-  EXPECT_LT(lt.rounds, lp.rounds / 4);
+  EXPECT_LT(lt.stats.rounds, lp.stats.rounds / 4);
 }
 
 TEST(UnionFind, DisjointSetsBasics) {
@@ -103,11 +109,42 @@ TEST(UnionFind, PathSplittingKeepsRootsStable) {
 
 TEST(Baselines, DeterministicAlgorithmsAreDeterministic) {
   auto el = graph::make_gnm(100, 250, 31);
-  for (const Named& alg : {kAll[0], kAll[1], kAll[2], kAll[4], kAll[5]}) {
+  for (const Named& alg : kAll) {
     auto a = alg.fn(el);
     auto b = alg.fn(el);
     EXPECT_EQ(a.labels, b.labels) << alg.name;
-    EXPECT_EQ(a.rounds, b.rounds) << alg.name;
+    EXPECT_EQ(a.stats.rounds, b.stats.rounds) << alg.name;
+  }
+}
+
+using logcc::testing::ThreadInvariance;
+
+// SV's and AS's SHORTCUT and the LT lab's connect, shortcut and ALTER
+// dispatch on the pool; 20,000 vertices put those passes above the serial
+// grain, so every lane count really splits the work.
+TEST_F(ThreadInvariance, RoundLoopBaselinesIdentical) {
+  auto el = graph::make_gnm(20000, 40000, 41);
+  auto run_all = [&] {
+    std::vector<std::pair<std::string, core::CcResult>> out;
+    out.emplace_back("shiloach-vishkin", shiloach_vishkin(el));
+    out.emplace_back("awerbuch-shiloach", awerbuch_shiloach(el));
+    for (const LtVariant& v : lt_all_variants())
+      out.emplace_back("lt " + v.name(), liu_tarjan_variant(el, v));
+    return out;
+  };
+  util::set_parallelism(1);
+  const auto ref = run_all();
+  for (const auto& [name, r] : ref)
+    ASSERT_TRUE(matches_oracle(el, r.labels)) << name;
+  for (int threads : {2, 4, 8}) {
+    util::set_parallelism(threads);
+    const auto got = run_all();
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_EQ(got[i].second.labels, ref[i].second.labels)
+          << ref[i].first << " threads=" << threads;
+      EXPECT_EQ(got[i].second.stats.rounds, ref[i].second.stats.rounds)
+          << ref[i].first << " threads=" << threads;
+    }
   }
 }
 

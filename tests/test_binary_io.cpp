@@ -270,9 +270,9 @@ TEST_F(BinaryIoHeader, RejectsSentinelVertexCount) {
 
 TEST_F(BinaryIoHeader, LoadDatasetRejectsCorruptInteriorOffsets) {
   // Envelope stays intact (offsets[0] == 0, offsets[n] == num_arcs) but an
-  // interior offset points far outside the arc array; load_dataset must
-  // fail cleanly instead of reading out of bounds. Offset entry u=1 lives
-  // at byte 64 + 8.
+  // interior offset points far outside the arc array; the loader must fail
+  // cleanly instead of reading out of bounds. Offset entry u=1 lives at
+  // byte 64 + 8.
   std::uint64_t huge = std::uint64_t{1} << 60;
   std::memcpy(bytes_.data() + 64 + 8, &huge, sizeof(huge));
   write_all(path_, bytes_);
@@ -280,8 +280,9 @@ TEST_F(BinaryIoHeader, LoadDatasetRejectsCorruptInteriorOffsets) {
   std::string error;
   ASSERT_TRUE(bg.open(path_, &error)) << error;  // envelope-only check passes
   EXPECT_FALSE(validate_csr_structure(bg.view(), &error));
-  EdgeList el;
-  EXPECT_FALSE(load_dataset(path_, el, nullptr, &error));
+  DatasetHandle h;
+  error.clear();
+  EXPECT_FALSE(load_dataset_zero_copy(path_, h, &error));
   EXPECT_NE(error.find("corrupt"), std::string::npos);
 }
 
@@ -347,13 +348,12 @@ TEST(BinaryIo, EdgeListFromCsrIsThreadCountInvariant) {
 // ------------------------------------------------------------ load_dataset ---
 
 TEST(LoadDataset, GeneratorSpec) {
-  EdgeList el;
-  DatasetInfo info;
+  DatasetHandle h;
   std::string error;
-  ASSERT_TRUE(load_dataset("gen:path:50", el, &info, &error)) << error;
-  EXPECT_EQ(el.n, 50u);
-  EXPECT_EQ(el.edges.size(), 49u);
-  EXPECT_EQ(info.source, "generator");
+  ASSERT_TRUE(load_dataset_zero_copy("gen:path:50", h, &error)) << error;
+  EXPECT_EQ(h.input().num_vertices(), 50u);
+  EXPECT_EQ(h.input().num_edges(), 49u);
+  EXPECT_EQ(h.info().source, "generator");
 }
 
 TEST(LoadDataset, ParseGeneratorSpec) {
@@ -377,10 +377,10 @@ TEST(LoadDataset, ParseGeneratorSpec) {
 }
 
 TEST(LoadDataset, BadGeneratorSpecFails) {
-  EdgeList el;
+  DatasetHandle h;
   std::string error;
-  EXPECT_FALSE(load_dataset("gen:path", el, nullptr, &error));
-  EXPECT_FALSE(load_dataset("gen:path:0", el, nullptr, &error));
+  EXPECT_FALSE(load_dataset_zero_copy("gen:path", h, &error));
+  EXPECT_FALSE(load_dataset_zero_copy("gen:path:0", h, &error));
 }
 
 TEST(LoadDataset, DispatchesOnMagic) {
@@ -390,21 +390,22 @@ TEST(LoadDataset, DispatchesOnMagic) {
   ASSERT_TRUE(write_binary_csr(bin, make_cycle(30), &error)) << error;
   ASSERT_TRUE(write_edge_list_file(text, make_cycle(30)));
 
-  EdgeList from_bin, from_text;
-  DatasetInfo bi, ti;
-  ASSERT_TRUE(load_dataset(bin, from_bin, &bi, &error)) << error;
-  ASSERT_TRUE(load_dataset(text, from_text, &ti, &error)) << error;
+  DatasetHandle from_bin, from_text;
+  ASSERT_TRUE(load_dataset_zero_copy(bin, from_bin, &error)) << error;
+  ASSERT_TRUE(load_dataset_zero_copy(text, from_text, &error)) << error;
+  const DatasetInfo& bi = from_bin.info();
   EXPECT_TRUE(bi.source == "binary-mmap" || bi.source == "binary-copy");
   EXPECT_GT(bi.file_bytes, 0u);
-  EXPECT_EQ(ti.source, "text");
-  EXPECT_EQ(canonical_edges(from_bin), canonical_edges(from_text));
+  EXPECT_EQ(from_text.info().source, "text");
+  EXPECT_EQ(canonical_edges(from_bin.edges()),
+            canonical_edges(from_text.edges()));
 }
 
 TEST(LoadDataset, MissingFileFails) {
-  EdgeList el;
+  DatasetHandle h;
   std::string error;
-  EXPECT_FALSE(load_dataset("/nonexistent/definitely/missing", el, nullptr,
-                            &error));
+  EXPECT_FALSE(
+      load_dataset_zero_copy("/nonexistent/definitely/missing", h, &error));
 }
 
 // --------------------------------------------------------------- MmapFile ---

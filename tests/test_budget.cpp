@@ -7,7 +7,6 @@ namespace {
 
 TEST(ParamPolicy, PracticalBasics) {
   ParamPolicy p = ParamPolicy::practical(1000, 4000);
-  EXPECT_EQ(p.kind, ParamPolicy::Kind::kPractical);
   EXPECT_GE(p.b1, 4u);
   EXPECT_GT(p.budget_cap, 1000u);
   EXPECT_EQ(p.budget_for_level(0), 0u);
@@ -66,24 +65,16 @@ TEST(ParamPolicy, RaiseProbabilityPositiveEvenAtCap) {
 TEST(ParamPolicy, TableCapacityModes) {
   ParamPolicy practical = ParamPolicy::practical(1000, 4000);
   EXPECT_EQ(practical.table_capacity(64), 64u);
-  ParamPolicy paper = ParamPolicy::paper(1000, 4000);
-  EXPECT_EQ(paper.table_capacity(64), 8u);  // sqrt(b)
   EXPECT_EQ(practical.table_capacity(0), 0u);
   EXPECT_GE(practical.table_capacity(1), 2u);  // floor
-}
-
-TEST(ParamPolicy, PaperModeSaturatesImmediatelyAtFeasibleN) {
-  // log^200 n dwarfs any feasible m/n: b1 hits the cap, so the paper policy
-  // starts out saturated, at level 1.
-  ParamPolicy p = ParamPolicy::paper(1 << 20, 1 << 22);
-  EXPECT_EQ(p.b1, p.budget_cap);
-  EXPECT_EQ(p.saturation_level(), 1u);
-}
-
-TEST(ParamPolicy, PaperGrowthConstant) {
-  ParamPolicy p = ParamPolicy::paper(1 << 20, 1 << 22);
-  EXPECT_DOUBLE_EQ(p.growth, 1.01);
-  EXPECT_TRUE(p.table_is_sqrt);
+  // The paper's √b tables, as bench_ablation sets them on a practical
+  // policy.
+  ParamPolicy sqrt_tables = practical;
+  sqrt_tables.table_is_sqrt = true;
+  EXPECT_EQ(sqrt_tables.table_capacity(64), 8u);
+  EXPECT_EQ(sqrt_tables.table_capacity(1000), 31u);  // floor(sqrt(1000))
+  EXPECT_EQ(sqrt_tables.table_capacity(0), 0u);
+  EXPECT_GE(sqrt_tables.table_capacity(1), 2u);  // floor
 }
 
 }  // namespace

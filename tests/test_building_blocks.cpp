@@ -60,8 +60,10 @@ TEST(DedupArcs, MergesUndirectedDuplicates) {
 // Sizes around the radix cutoff (256), the serial grain (4,096) and the
 // one-bucket cutoff (16,384). Below the last, dedup_arcs runs one bucket,
 // whose output is the fully sorted reference itself; from it on, the
-// output is bucket-major, so it is compared as a set. The wide run must
-// give the narrow run's output element for element.
+// output is bucket-major, so it is compared as a set. The wide run, and a
+// run on the same pairs as graph::Edge (no orig, as the Liu–Tarjan lab
+// dedups its ALTER list), must give the narrow run's pairs element for
+// element.
 TEST(DedupArcs, MatchesSortUniqueAcrossSizes) {
   for (const std::size_t m : {255u, 256u, 4095u, 4096u, 16383u, 16384u}) {
     // Duplicate-heavy: about four copies of each pair from a small id
@@ -76,8 +78,11 @@ TEST(DedupArcs, MatchesSortUniqueAcrossSizes) {
                  static_cast<Arc::OrigId>(m - i)};
     }
     std::vector<Arc64> wide(m);
-    for (std::size_t i = 0; i < m; ++i)
+    std::vector<graph::Edge> edges(m);
+    for (std::size_t i = 0; i < m; ++i) {
       wide[i] = {arcs[i].u, arcs[i].v, arcs[i].orig};
+      edges[i] = {arcs[i].u, arcs[i].v};
+    }
 
     auto reference = arcs;
     for (Arc& a : reference)
@@ -94,11 +99,15 @@ TEST(DedupArcs, MatchesSortUniqueAcrossSizes) {
 
     dedup_arcs(arcs);
     dedup_arcs(wide);
+    dedup_arcs(edges);
     ASSERT_EQ(wide.size(), arcs.size()) << "m=" << m;
+    ASSERT_EQ(edges.size(), arcs.size()) << "m=" << m;
     for (std::size_t i = 0; i < arcs.size(); ++i) {
       ASSERT_EQ(wide[i].u, arcs[i].u) << "m=" << m << " i=" << i;
       ASSERT_EQ(wide[i].v, arcs[i].v) << "m=" << m << " i=" << i;
       ASSERT_EQ(wide[i].orig, arcs[i].orig) << "m=" << m << " i=" << i;
+      ASSERT_EQ(edges[i], (graph::Edge{arcs[i].u, arcs[i].v}))
+          << "m=" << m << " i=" << i;
     }
     if (m >= 16384) {
       std::sort(arcs.begin(), arcs.end(), [](const Arc& a, const Arc& b) {

@@ -69,14 +69,6 @@ TEST(Theorem1, NTildeRuleStillCorrect) {
   }
 }
 
-TEST(Theorem1, PaperModeCorrectEvenIfDegenerate) {
-  auto el = graph::make_gnm(128, 512, 9);
-  auto p = Theorem1Params::paper(el.n, el.edges.size());
-  p.seed = 2;
-  auto r = theorem1_cc(el, p);
-  EXPECT_TRUE(matches_oracle(el, r.labels));
-}
-
 TEST(Theorem1, ForcedFinisherStillCorrect) {
   Theorem1Params p;
   p.max_phases = 1;  // starve the randomized loop

@@ -52,15 +52,6 @@ TEST(FasterCc, PostprocessMergesEqualLevelRoots) {
   EXPECT_EQ(graph::count_components(graph::canonical_labels(r.labels)), 1u);
 }
 
-TEST(FasterCc, PaperPolicyCorrect) {
-  FasterCcParams p;
-  p.policy = ParamPolicy::Kind::kPaper;
-  for (const auto& [name, el] : logcc::testing::small_zoo()) {
-    auto r = faster_cc(el, p);
-    EXPECT_TRUE(matches_oracle(el, r.labels)) << name;
-  }
-}
-
 TEST(FasterCc, TinyRoundBudgetFallsBackCorrectly) {
   FasterCcParams p;
   p.max_rounds = 1;

@@ -5,8 +5,8 @@
 // tag and count fields, bit flips across the offsets and adjacency arrays,
 // truncations at every structural boundary, trailing garbage, and a few
 // degenerate files. Every mutant must be *cleanly rejected* — by
-// BinaryGraph::open + validate_csr, by load_dataset, and by
-// load_dataset_zero_copy — never crash, never hand back a graph. (Under
+// BinaryGraph::open + validate_csr and by load_dataset_zero_copy — never
+// crash, never hand back a graph, always say why. (Under
 // ASan/UBSan in CI this doubles as a memory-safety harness for the
 // header/envelope/structure validators.)
 //
@@ -188,9 +188,9 @@ TEST_F(FuzzBinaryLoader, MultiplicityAsymmetricFileIsRejected) {
   ASSERT_TRUE(bg.open(mutant_path_, &error)) << error;  // envelope is fine
   EXPECT_FALSE(graph::validate_csr(bg.view(), &error));
   graph::DatasetHandle handle;
+  error.clear();
   EXPECT_FALSE(graph::load_dataset_zero_copy(mutant_path_, handle, &error));
-  graph::EdgeList el;
-  EXPECT_FALSE(graph::load_dataset(mutant_path_, el, nullptr, &error));
+  EXPECT_FALSE(error.empty());
 }
 
 TEST_F(FuzzBinaryLoader, EveryMutantIsCleanlyRejectedByEveryLoadPath) {
@@ -209,20 +209,14 @@ TEST_F(FuzzBinaryLoader, EveryMutantIsCleanlyRejectedByEveryLoadPath) {
       EXPECT_FALSE(error.empty()) << m.name;
     }
 
-    // load_dataset (materializing) — a mutated magic demotes the file to
-    // the text parser, which must also reject the binary junk.
-    graph::EdgeList el;
-    error.clear();
-    EXPECT_FALSE(graph::load_dataset(mutant_path_, el, nullptr, &error))
-        << m.name << ": load_dataset returned a graph from a corrupt file";
-    EXPECT_FALSE(error.empty()) << m.name;
-
-    // Zero-copy path.
+    // The dataset loader — a mutated magic demotes the file to the text
+    // parser, which must also reject the binary junk.
     graph::DatasetHandle handle;
     error.clear();
     EXPECT_FALSE(graph::load_dataset_zero_copy(mutant_path_, handle, &error))
         << m.name
         << ": load_dataset_zero_copy returned a graph from a corrupt file";
+    EXPECT_FALSE(error.empty()) << m.name;
   }
 }
 
@@ -345,17 +339,12 @@ TEST_F(FuzzBinaryLoaderV2, EveryMutantIsCleanlyRejectedByEveryLoadPath) {
       EXPECT_FALSE(error.empty()) << m.name;
     }
 
-    graph::EdgeList el;
-    error.clear();
-    EXPECT_FALSE(graph::load_dataset(mutant_path_, el, nullptr, &error))
-        << m.name << ": load_dataset returned a graph from a corrupt file";
-    EXPECT_FALSE(error.empty()) << m.name;
-
     graph::DatasetHandle handle;
     error.clear();
     EXPECT_FALSE(graph::load_dataset_zero_copy(mutant_path_, handle, &error))
         << m.name
         << ": load_dataset_zero_copy returned a graph from a corrupt file";
+    EXPECT_FALSE(error.empty()) << m.name;
   }
 }
 

@@ -73,8 +73,8 @@ TEST(LtFamily, ExtendedBeatsParentBeatsDirectOnPaths) {
   auto rd = liu_tarjan_variant(el, d);
   auto rp = liu_tarjan_variant(el, p);
   auto re = liu_tarjan_variant(el, e);
-  EXPECT_LE(re.rounds, rp.rounds);
-  EXPECT_LE(rp.rounds, rd.rounds);
+  EXPECT_LE(re.stats.rounds, rp.stats.rounds);
+  EXPECT_LE(rp.stats.rounds, rd.stats.rounds);
 }
 
 TEST(LtFamily, FullShortcutWithinConstantFactor) {
@@ -87,8 +87,8 @@ TEST(LtFamily, FullShortcutWithinConstantFactor) {
          {LtConnect::kDirect, LtConnect::kParent, LtConnect::kExtended}) {
       auto rs = liu_tarjan_variant(el, {c, LtShortcut::kSingle, true});
       auto rf = liu_tarjan_variant(el, {c, LtShortcut::kFull, true});
-      EXPECT_LE(rf.rounds, 2 * rs.rounds + 16) << family;
-      EXPECT_GE(rf.rounds, 1u) << family;
+      EXPECT_LE(rf.stats.rounds, 2 * rs.stats.rounds + 16) << family;
+      EXPECT_GE(rf.stats.rounds, 1u) << family;
     }
   }
 }
@@ -98,7 +98,7 @@ TEST(LtFamily, LogarithmicRoundsWithAlter) {
   LtVariant v{LtConnect::kParent, LtShortcut::kSingle, true};
   auto r = liu_tarjan_variant(el, v);
   // LT19: these variants are O(log^2 n) worst case, O(log n) in practice.
-  EXPECT_LE(r.rounds, 150u);
+  EXPECT_LE(r.stats.rounds, 150u);
 }
 
 TEST(LtFamily, MonotoneLabels) {

@@ -56,23 +56,6 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// Paper-policy sweep (smaller: paper constants degenerate but must stay
-// correct).
-class CcPaperPolicy : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(CcPaperPolicy, MatchesOracle) {
-  graph::EdgeList el = graph::make_family(GetParam(), 128, 5);
-  Options opt;
-  opt.policy = core::ParamPolicy::Kind::kPaper;
-  auto r = connected_components(graph::ArcsInput::from_edges(el),
-                                Algorithm::kFasterCC, opt);
-  EXPECT_TRUE(logcc::testing::matches_oracle(el, r.labels())) << GetParam();
-}
-
-INSTANTIATE_TEST_SUITE_P(Families, CcPaperPolicy,
-                         ::testing::Values("path", "star", "gnm2", "rmat",
-                                           "grid"));
-
 // CRCW-independence: the partition must not depend on the seed that drives
 // every "arbitrary write wins" choice.
 class CcSeedIndependence

@@ -258,7 +258,7 @@ TEST_F(ThreadInvariance, VanillaLabelsIdentical) {
 
 TEST_F(ThreadInvariance, Theorem1LabelsIdentical) {
   auto el = graph::make_gnm(20000, 60000, 23);
-  auto params = core::Theorem1Params::paper(el.n, el.edges.size());
+  const core::Theorem1Params params;  // PREPARE, then EXPAND phases
   set_parallelism(1);
   auto one = core::theorem1_cc(el, params);
   for (int threads : {2, 8}) {

@@ -237,10 +237,18 @@ TEST(WideIndex, V2RoundTripRunsAllThreeWideAlgorithmsBitCompatibly) {
   fp.seed = 5;
   const auto wf = core::faster_cc(wide_in, fp);
 
-  // Narrow reference: same file's graph, materialized.
-  graph::EdgeList el;
-  ASSERT_TRUE(graph::load_dataset(path, el, nullptr, &error)) << error;
-  const auto nv = core::vanilla_cc(graph::ArcsInput::from_edges(el), 5);
+  // Narrow reference: a LOGCCSR1 copy of the same graph, zero-copy too.
+  const std::string narrow_path =
+      ::testing::TempDir() + "/narrow_roundtrip.logccsr";
+  ASSERT_TRUE(graph::stream_family_to_binary(
+      "rmat", 600, 9, narrow_path, &error, graph::BinaryCsrFormat::kNarrow))
+      << error;
+  graph::DatasetHandle narrow;
+  ASSERT_TRUE(graph::load_dataset_zero_copy(narrow_path, narrow, &error))
+      << error;
+  ASSERT_FALSE(narrow.wide());
+  ASSERT_TRUE(narrow.input().csr_backed());
+  const auto nv = core::vanilla_cc(narrow.input(), 5);
   ASSERT_EQ(wv.labels.size(), nv.labels.size());
   for (std::size_t v = 0; v < nv.labels.size(); ++v)
     EXPECT_EQ(wv.labels[v], static_cast<graph::VertexId64>(nv.labels[v]));
@@ -249,24 +257,7 @@ TEST(WideIndex, V2RoundTripRunsAllThreeWideAlgorithmsBitCompatibly) {
   EXPECT_EQ(graph::canonical_labels(wv.labels), wu.labels);
   EXPECT_EQ(graph::canonical_labels(wf.labels), wu.labels);
   std::remove(path.c_str());
-}
-
-TEST(WideIndex, LoadDatasetDownconvertsFittingWideFiles) {
-  // A LOGCCSR2 file whose graph fits uint32 materializes on the narrow
-  // path (load_dataset) with the canonical edge order.
-  const std::string path = ::testing::TempDir() + "/wide_fits.logccsr";
-  graph::EdgeList el = graph::make_family("grid", 300, 1);
-  graph::EdgeList64 wide_el;
-  wide_el.n = el.n;
-  for (const graph::Edge& e : el.edges) wide_el.add(e.u, e.v);
-  std::string error;
-  ASSERT_TRUE(graph::write_binary_csr(path, wide_el, &error)) << error;
-
-  graph::EdgeList back;
-  ASSERT_TRUE(graph::load_dataset(path, back, nullptr, &error)) << error;
-  EXPECT_EQ(back.n, el.n);
-  EXPECT_EQ(back.edges.size(), el.edges.size());
-  std::remove(path.c_str());
+  std::remove(narrow_path.c_str());
 }
 
 }  // namespace
