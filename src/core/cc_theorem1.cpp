@@ -65,7 +65,7 @@ void expand_loop(ParentForest& forest, std::vector<Arc>& arcs,
     ep.seed = util::mix64(params.seed, schedule.expand_salt + phase);
     ep.keep_history = schedule.keep_history;
 
-    ExpandEngine expand(n, ongoing, arcs, ep, stats, &expand_scratch);
+    ExpandEngine expand(n, ongoing, arcs, ep, stats, expand_scratch);
     expand.run();
 
     VoteParams vp;

@@ -24,7 +24,7 @@ std::size_t occupancy_bucket_count(std::size_t n) {
 ExpandEngine::ExpandEngine(std::uint64_t n, std::span<const VertexId> ongoing,
                            std::span<const Arc> arcs,
                            const ExpandParams& params, RunStats& stats,
-                           ExpandScratch* scratch)
+                           ExpandScratch& scratch)
     : n_(n),
       ongoing_(ongoing.begin(), ongoing.end()),
       arcs_(arcs),
@@ -32,14 +32,14 @@ ExpandEngine::ExpandEngine(std::uint64_t n, std::span<const VertexId> ongoing,
       stats_(stats),
       hb_(util::PairwiseHash::from_seed(params.seed, 0xb10c)),
       hv_(util::PairwiseHash::from_seed(params.seed, 0x7ab1e)),
-      scratch_(scratch ? scratch : &own_scratch_) {
+      scratch_(scratch) {
   LOGCC_CHECK(params_.block_count >= 1);
   LOGCC_CHECK(params_.table_capacity >= 2);
   const std::uint32_t num = num_slots();
   // The hoisted slot map holds kNoSlot everywhere except the previous
   // engine's ongoing set, which its destructor reset — only fresh entries
   // need initialising.
-  auto& slot_of = scratch_->slot_of;
+  auto& slot_of = scratch_.slot_of;
   const std::size_t old_size = slot_of.size();
   if (old_size < n_) slot_of.resize(n_);
   util::parallel_for(old_size, n_,
@@ -57,24 +57,24 @@ ExpandEngine::ExpandEngine(std::uint64_t n, std::span<const VertexId> ongoing,
   // Tables live in the scratch's contiguous slab: epoch-reset is O(num)
   // bookkeeping (no per-cell zeroing, no per-table vectors), and across
   // phases the slab memory is reused outright.
-  scratch_->tables.reset_uniform(num, params_.table_capacity);
-  scratch_->owns_block.resize(num);
-  scratch_->dormant_round.resize(num);
+  scratch_.tables.reset_uniform(num, params_.table_capacity);
+  scratch_.owns_block.resize(num);
+  scratch_.dormant_round.resize(num);
   util::parallel_for(0, num, [&](std::size_t s) {
-    scratch_->owns_block[s] = 0;
-    scratch_->dormant_round[s] = kNeverDormant;
+    scratch_.owns_block[s] = 0;
+    scratch_.dormant_round[s] = kNeverDormant;
   });
-  scratch_->collisions.resize(num);
+  scratch_.collisions.resize(num);
 }
 
 ExpandEngine::~ExpandEngine() {
-  auto& slot_of = scratch_->slot_of;
+  auto& slot_of = scratch_.slot_of;
   util::parallel_for(0, ongoing_.size(),
                      [&](std::size_t s) { slot_of[ongoing_[s]] = kNoSlot; });
 }
 
 void ExpandEngine::flush_collisions() {
-  auto& coll = scratch_->collisions;
+  auto& coll = scratch_.collisions;
   stats_.hash_collisions += util::parallel_reduce(
       std::size_t{0}, coll.size(), std::uint64_t{0},
       [&](std::size_t s) { return coll[s]; },
@@ -91,10 +91,10 @@ void ExpandEngine::assign_blocks() {
   // count keys on the slot count only, so results never depend on the
   // thread count.
   const std::uint32_t num = num_slots();
-  auto& owns_block = scratch_->owns_block;
-  auto& dormant_round = scratch_->dormant_round;
-  auto& keys = scratch_->block_keys;
-  auto& scattered = scratch_->block_keys_tmp;
+  auto& owns_block = scratch_.owns_block;
+  auto& dormant_round = scratch_.dormant_round;
+  auto& keys = scratch_.block_keys;
+  auto& scattered = scratch_.block_keys_tmp;
   keys.resize(num);
   util::parallel_for(0, num, [&](std::size_t s) {
     keys[s] = {hb_(ongoing_[s], params_.block_count),
@@ -130,16 +130,16 @@ void ExpandEngine::seed() {
   // Step (3): over every arc between ongoing vertices, an end without a
   // block marks the other dormant (idempotent store of round 0), and a
   // block owner's table takes itself, then its neighbours in arc order.
-  const auto& slot_of = scratch_->slot_of;
-  const auto& owns_block = scratch_->owns_block;
-  auto& dormant_round = scratch_->dormant_round;
+  const auto& slot_of = scratch_.slot_of;
+  const auto& owns_block = scratch_.owns_block;
+  auto& dormant_round = scratch_.dormant_round;
   util::parallel_for(0, arcs_.size(), [&](std::size_t i) {
     const std::uint32_t su = slot_of[arcs_[i].u], sv = slot_of[arcs_[i].v];
     if (su == kNoSlot || sv == kNoSlot) return;
     if (!owns_block[su]) util::relaxed_store(dormant_round[sv], 0u);
     if (!owns_block[sv]) util::relaxed_store(dormant_round[su], 0u);
   });
-  TableSlab& tables = scratch_->tables;
+  TableSlab& tables = scratch_.tables;
   seed_tables(
       tables, hv_, arcs_.size(),
       [&](std::size_t i) -> const Arc& { return arcs_[i]; },
@@ -152,7 +152,7 @@ void ExpandEngine::seed() {
                    ? sv
                    : kNoSlot;
       },
-      scratch_->collisions, scratch_->fill);
+      scratch_.collisions, scratch_.fill);
   flush_collisions();
   // Step (4): collisions observed in round 0.
   util::parallel_for(0, num_slots(), [&](std::size_t s) {
@@ -163,32 +163,40 @@ void ExpandEngine::seed() {
 
 void ExpandEngine::snapshot_history() {
   if (!params_.keep_history) return;
-  history_.emplace_back();
-  auto& snap = history_.back();
-  snap.resize(ongoing_.size());
-  const TableSlab& tables = scratch_->tables;
-  util::parallel_for(0, ongoing_.size(), [&](std::size_t s) {
-    auto& items = snap[s];
-    items.clear();
-    items.reserve(tables.count(static_cast<std::uint32_t>(s)));
+  // One packed list per round, reused across phases: per-slot counts, an
+  // exclusive prefix sum, then each slot fills its range in cell order.
+  auto& hist = scratch_.history;
+  if (hist.size() == history_rounds_) hist.emplace_back();
+  PackedTables& packed = hist[history_rounds_++];
+  const std::uint32_t num = num_slots();
+  const TableSlab& tables = scratch_.tables;
+  auto& begin = packed.begin;
+  begin.resize(std::size_t{num} + 1);
+  util::parallel_for(0, num, [&](std::size_t s) {
+    begin[s] = tables.count(static_cast<std::uint32_t>(s));
+  });
+  begin[num] = util::parallel_prefix_sum(begin.data(), num);
+  packed.items.resize(begin[num]);
+  util::parallel_for(0, num, [&](std::size_t s) {
+    VertexId* out = packed.items.data() + begin[s];
     tables.for_each(static_cast<std::uint32_t>(s),
-                    [&](VertexId w) { items.push_back(w); });
+                    [&](VertexId w) { *out++ = w; });
   });
 }
 
 void ExpandEngine::doubling_rounds() {
   const std::uint32_t num = num_slots();
-  const auto& slot_of = scratch_->slot_of;
-  auto& coll = scratch_->collisions;
-  const auto& owns_block = scratch_->owns_block;
-  auto& dormant_round = scratch_->dormant_round;
-  TableSlab& tables = scratch_->tables;
+  const auto& slot_of = scratch_.slot_of;
+  auto& coll = scratch_.collisions;
+  const auto& owns_block = scratch_.owns_block;
+  auto& dormant_round = scratch_.dormant_round;
+  TableSlab& tables = scratch_.tables;
 
-  auto& changed = scratch_->changed;          // table changed last round
-  auto& went_dormant = scratch_->went_dormant;
-  auto& dormant_in = scratch_->dormant_in;
-  auto& changed_now = scratch_->changed_now;
-  auto& dormant_now = scratch_->dormant_now;
+  auto& changed = scratch_.changed;          // table changed last round
+  auto& went_dormant = scratch_.went_dormant;
+  auto& dormant_in = scratch_.dormant_in;
+  auto& changed_now = scratch_.changed_now;
+  auto& dormant_now = scratch_.dormant_now;
   changed.resize(num);
   went_dormant.resize(num);
   dormant_in.resize(num);
@@ -198,7 +206,7 @@ void ExpandEngine::doubling_rounds() {
     changed[s] = 1;
     went_dormant[s] = dormant_round[s] != kNeverDormant;
   });
-  auto& snap = scratch_->snapshot_words;
+  auto& snap = scratch_.snapshot_words;
 
   for (std::uint32_t round = 1; round <= params_.max_rounds; ++round) {
     // Safe here even when a phase loop above holds the arena: between
@@ -270,11 +278,13 @@ void ExpandEngine::run() {
   doubling_rounds();
 }
 
-const std::vector<VertexId>& ExpandEngine::history(std::uint32_t j,
-                                                   std::uint32_t slot) const {
+std::span<const VertexId> ExpandEngine::history(std::uint32_t j,
+                                                std::uint32_t slot) const {
   LOGCC_CHECK_MSG(params_.keep_history, "history not retained");
-  LOGCC_CHECK(j < history_.size());
-  return history_[j][slot];
+  LOGCC_CHECK(j < history_rounds_);
+  const PackedTables& packed = scratch_.history[j];
+  return {packed.items.data() + packed.begin[slot],
+          packed.begin[slot + 1] - packed.begin[slot]};
 }
 
 }  // namespace logcc::core

@@ -15,10 +15,11 @@
 // Dormancy never stops the table from being *used*; it stops the guarantee
 // that the table equals the ball and signals VOTE to treat u pessimistically.
 //
-// `keep_history` retains H_j(u) and per-round liveness for every round j —
-// required by the spanning forest's TREE-LINK (§C.3). One engine runs per
-// phase of expand_loop (core/cc_theorem1.hpp), the phase loop of Theorems
-// 1 and 2.
+// `keep_history` retains H_j(u) for every round j — required by the
+// spanning forest's TREE-LINK (§C.3). Each round's tables are packed into
+// one list in the scratch (per-slot counts, a prefix sum, a fill in cell
+// order), so H_j(u) is a span into it. One engine runs per phase of
+// expand_loop (core/cc_theorem1.hpp), the phase loop of Theorems 1 and 2.
 //
 // Tables are seeded and doubled by the kernels EXPAND-MAXLINK runs too,
 // seed_tables and double_table (core/table_slab.hpp); block occupancy,
@@ -47,12 +48,20 @@ struct ExpandParams {
   bool keep_history = false;       // retain H_j for TREE-LINK
 };
 
+/// One round's tables packed in slot order: H(s) is
+/// items[begin[s] .. begin[s + 1]), in cell order.
+struct PackedTables {
+  std::vector<std::size_t> begin;  // num_slots + 1 entries
+  std::vector<VertexId> items;
+};
+
 /// Caller-hoisted scratch for the engine's parallel kernels. Phase loops
 /// construct one ExpandEngine per phase; hoisting the scratch (like the
 /// ongoing flags they hand collect_ongoing) avoids re-allocating the O(n)
-/// slot map, the bucket-partition buffers, the table slab and the
-/// doubling-round state every phase. `slot_of` must be all-kNoSlot on
-/// entry; the engine restores it (touched entries only) on destruction.
+/// slot map, the bucket-partition buffers, the table slab, the kept
+/// history and the doubling-round state every phase. `slot_of` must be
+/// all-kNoSlot on entry; the engine restores it (touched entries only) on
+/// destruction.
 struct ExpandScratch {
   std::vector<std::uint32_t> slot_of;  // n entries, kNoSlot except ongoing
   std::vector<std::pair<std::uint64_t, std::uint32_t>> block_keys;
@@ -66,6 +75,7 @@ struct ExpandScratch {
   // Doubling-round flags (hoisted: rounds are the innermost hot loop).
   std::vector<std::uint8_t> changed, went_dormant, dormant_in;
   std::vector<std::uint8_t> changed_now, dormant_now;
+  std::vector<PackedTables> history;  // [round], with keep_history
 };
 
 class ExpandEngine {
@@ -75,11 +85,11 @@ class ExpandEngine {
 
   /// `ongoing` lists the roots participating this phase; `arcs` are the
   /// current (altered) arcs — only those whose both endpoints are ongoing
-  /// are used. `scratch`, when given, must outlive the engine and not be
-  /// shared with a concurrently-live engine.
+  /// are used. `scratch` must outlive the engine and not be shared with a
+  /// concurrently-live engine.
   ExpandEngine(std::uint64_t n, std::span<const VertexId> ongoing,
                std::span<const Arc> arcs, const ExpandParams& params,
-               RunStats& stats, ExpandScratch* scratch = nullptr);
+               RunStats& stats, ExpandScratch& scratch);
   ~ExpandEngine();
   ExpandEngine(const ExpandEngine&) = delete;
   ExpandEngine& operator=(const ExpandEngine&) = delete;
@@ -90,17 +100,17 @@ class ExpandEngine {
   std::uint32_t num_slots() const {
     return static_cast<std::uint32_t>(ongoing_.size());
   }
-  std::uint32_t slot_of(VertexId v) const { return scratch_->slot_of[v]; }
+  std::uint32_t slot_of(VertexId v) const { return scratch_.slot_of[v]; }
   VertexId vertex_of(std::uint32_t slot) const { return ongoing_[slot]; }
 
   bool owns_block(std::uint32_t slot) const {
-    return scratch_->owns_block[slot] != 0;
+    return scratch_.owns_block[slot] != 0;
   }
   bool fully_dormant(std::uint32_t slot) const { return !owns_block(slot); }
   /// Round at which the vertex became dormant; kNeverDormant if it stayed
   /// live throughout. Fully dormant vertices report round 0.
   std::uint32_t dormant_round(std::uint32_t slot) const {
-    return scratch_->dormant_round[slot];
+    return scratch_.dormant_round[slot];
   }
   bool live_after(std::uint32_t slot) const {
     return dormant_round(slot) == kNeverDormant;
@@ -112,16 +122,15 @@ class ExpandEngine {
   }
 
   TableView table(std::uint32_t slot) const {
-    return TableView(&scratch_->tables, slot);
+    return TableView(&scratch_.tables, slot);
   }
 
   /// Total doubling rounds executed (the paper's T).
   std::uint32_t rounds() const { return rounds_; }
 
-  /// History: items of H_j(slot); valid when keep_history, for j in
-  /// [0, rounds()].
-  const std::vector<VertexId>& history(std::uint32_t j,
-                                       std::uint32_t slot) const;
+  /// History: items of H_j(slot) in cell order; valid when keep_history,
+  /// for j in [0, rounds()], while the engine lives.
+  std::span<const VertexId> history(std::uint32_t j, std::uint32_t slot) const;
 
   const util::PairwiseHash& hv() const { return hv_; }
   std::uint32_t table_capacity() const { return params_.table_capacity; }
@@ -130,7 +139,7 @@ class ExpandEngine {
   void assign_blocks();
   void seed();             // Steps (3) and (4)
   void doubling_rounds();  // Step (5)
-  void snapshot_history();
+  void snapshot_history();  // packs this round's tables into history
   void flush_collisions();  // scratch tallies -> stats_.hash_collisions
 
   std::uint64_t n_;
@@ -140,9 +149,8 @@ class ExpandEngine {
   RunStats& stats_;
 
   util::PairwiseHash hb_, hv_;
-  ExpandScratch own_scratch_;   // used when the caller passes none
-  ExpandScratch* scratch_;      // tables/flags live here, hoisted per phase
-  std::vector<std::vector<std::vector<VertexId>>> history_;  // [round][slot]
+  ExpandScratch& scratch_;  // tables/flags/history live here, hoisted
+  std::uint32_t history_rounds_ = 0;  // rounds packed into scratch_.history
   std::uint32_t rounds_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "core/spanning_forest.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "core/expand.hpp"
 #include "core/round_arena.hpp"
@@ -29,62 +30,68 @@ void tree_link(const ExpandEngine& expand,
   const std::uint32_t cap = expand.table_capacity();
   const auto& hv = expand.hv();
 
-  // Step (1): initialise α and Q.
+  // Step (1): initialise α and Q. Q(u) holds at most cap vertices, the
+  // items of its last accepted Q′ table: q[s·cap, s·cap + q_len[s]).
   std::vector<std::int64_t> alpha(num);
-  std::vector<std::vector<VertexId>> q(num);
+  std::vector<VertexId> q(std::size_t{num} * cap);
+  std::vector<std::uint32_t> q_len(num);
+  auto q_of = [&](std::size_t s) {
+    return std::span<const VertexId>(q.data() + s * cap, q_len[s]);
+  };
   util::parallel_for(0, num, [&](std::size_t s) {
     if (leader[s] || expand.fully_dormant(static_cast<std::uint32_t>(s))) {
       alpha[s] = -1;
       return;
     }
     alpha[s] = 0;
-    q[s] = {expand.vertex_of(static_cast<std::uint32_t>(s))};
+    q[s * cap] = expand.vertex_of(static_cast<std::uint32_t>(s));
+    q_len[s] = 1;
   });
 
-  // Step (2): grow Q by halving radii, j = T .. 0. Slots advance
-  // independently (each reads shared history, writes only its own Q/α);
-  // collisions tally per slot and flush after each radius.
+  // Step (2): grow Q by halving radii, j = T .. 0. Slot u builds Q′(u) in
+  // table u of one slab, reset per radius; slots advance independently
+  // (each reads shared history, writes only its own table, Q and α).
+  // Collisions tally per slot and flush after each radius.
+  TableSlab qp;
   std::vector<std::uint64_t> coll(num);
   for (std::int64_t j = static_cast<std::int64_t>(expand.rounds()); j >= 0;
        --j) {
     ++stats.pram_steps;
+    qp.reset_uniform(num, cap);
+    const auto round = static_cast<std::uint32_t>(j);
     util::parallel_for(0, num, [&](std::size_t s) {
       coll[s] = 0;
       if (alpha[s] < 0) return;
       // Every member of Q(u) must be live in round j.
-      bool all_live = true;
-      for (VertexId v : q[s]) {
+      for (VertexId v : q_of(s)) {
         std::uint32_t sv = expand.slot_of(v);
-        if (sv == ExpandEngine::kNoSlot ||
-            !expand.live_in_round(sv, static_cast<std::uint32_t>(j))) {
-          all_live = false;
-          break;
-        }
+        if (sv == ExpandEngine::kNoSlot || !expand.live_in_round(sv, round))
+          return;
       }
-      if (!all_live) return;
       // Q'(u) = hash of ∪_{v∈Q(u)} H_j(v); reject on collision or leader.
-      VertexTable qp(cap);
+      const auto t = static_cast<std::uint32_t>(s);
       bool has_leader = false;
-      for (VertexId v : q[s]) {
-        std::uint32_t sv = expand.slot_of(v);
-        for (VertexId w : expand.history(static_cast<std::uint32_t>(j), sv)) {
+      for (VertexId v : q_of(s)) {
+        for (VertexId w : expand.history(round, expand.slot_of(v))) {
           std::uint32_t sw = expand.slot_of(w);
           if (sw != ExpandEngine::kNoSlot && leader[sw]) {
             has_leader = true;
             break;
           }
-          if (qp.insert_at(static_cast<std::uint32_t>(hv(w, cap)), w) ==
-              VertexTable::Insert::kCollision) {
+          if (qp.insert_at(t, static_cast<std::uint32_t>(hv(w, cap)), w) ==
+              TableSlab::Insert::kCollision) {
             ++coll[s];
             break;
           }
         }
-        if (has_leader || qp.collided()) break;
+        if (has_leader || qp.collided(t)) break;
       }
-      if (!has_leader && !qp.collided()) {
-        q[s] = qp.items();
-        alpha[s] += std::int64_t{1} << j;
-      }
+      if (has_leader || qp.collided(t)) return;
+      // Accept: Q(u) := Q'(u), in cell order.
+      VertexId* out = q.data() + s * cap;
+      qp.for_each(t, [&](VertexId w) { *out++ = w; });
+      q_len[s] = qp.count(t);
+      alpha[s] += std::int64_t{1} << j;
     });
     stats.hash_collisions += util::parallel_reduce(
         std::size_t{0}, static_cast<std::size_t>(num), std::uint64_t{0},
@@ -114,7 +121,7 @@ void tree_link(const ExpandEngine& expand,
       return;
     }
     if (alpha[s] < 0) return;
-    for (VertexId w : q[s]) {
+    for (VertexId w : q_of(s)) {
       std::uint32_t sw = expand.slot_of(w);
       if (sw != ExpandEngine::kNoSlot && leader_neighbor[sw]) {
         beta[s] = static_cast<std::uint64_t>(alpha[s]) + 1;

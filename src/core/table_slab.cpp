@@ -1,5 +1,6 @@
 #include "core/table_slab.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/parallel.hpp"

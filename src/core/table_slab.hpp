@@ -1,14 +1,22 @@
-// Bucketized, cache-line-aligned backing store for the per-vertex hash
-// tables of EXPAND / EXPAND-MAXLINK.
+// The per-vertex hash tables of the paper's hashing primitive (§2.2), in one
+// bucketized, cache-line-aligned backing store: EXPAND's H(u), EXPAND-
+// MAXLINK's tables and TREE-LINK's Q'(u) all live in a TableSlab.
 //
-// The logical semantics are exactly VertexTable's (core/hash_table.hpp):
-// one value per cell, CRCW collision detection, Insert::{kNew, kPresent,
-// kCollision} — tests/test_table_slab.cpp asserts bit-for-bit agreement
-// against VertexTable over randomized fill sequences. What changes is the
-// *layout*: instead of one heap vector per table (scattered tiny
+// CRCW semantics, per table: a vertex w is written into cell h(w) and the
+// cell is re-read. The first writer of an empty cell wins and the insert is
+// kNew; writing the vertex a cell already holds is kPresent (concurrent
+// equal writes are harmless on a CRCW machine, which is how hashing drops
+// duplicate neighbours); writing a different vertex into an occupied cell
+// is a kCollision, which stores nothing and sets the table's sticky
+// collided() flag. The table never resolves a collision: the algorithms
+// react to it (mark dormant, raise a level, reject a radius).
+// tests/test_table_slab.cpp replays 10k seeded fill sequences against a
+// flat first-writer-wins table to pin this.
+//
+// Layout: every table is a fixed-slot bucket inside one contiguous 64-byte-
+// aligned slab, instead of one heap vector per table (scattered tiny
 // allocations, pointer-chased on every table-to-table hop of a doubling
-// round), every table is a fixed-slot bucket inside one contiguous 64-byte-
-// aligned slab:
+// round):
 //
 //   slab (64B-aligned) ───────────────────────────────────────────────
 //   │ bucket 0          │ bucket 1          │ bucket 2          │ ...
@@ -46,7 +54,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/hash_table.hpp"
 #include "graph/graph.hpp"
 #include "util/check.hpp"
 #include "util/hashing.hpp"
@@ -56,7 +63,7 @@ namespace logcc::core {
 
 class TableSlab {
  public:
-  using Insert = VertexTable::Insert;
+  enum class Insert { kNew, kPresent, kCollision };
 
   TableSlab() = default;
   TableSlab(const TableSlab&) = delete;
@@ -80,8 +87,8 @@ class TableSlab {
   std::uint32_t count(std::uint32_t t) const { return count_[t]; }
   bool collided(std::uint32_t t) const { return collided_[t] != 0; }
 
-  /// Writes `w` into cell `cell` of table `t` — same contract as
-  /// VertexTable::insert_at, caller computes cell = h(w, capacity(t)).
+  /// Writes `w` into cell `cell` of table `t` with the CRCW semantics above;
+  /// the caller computes cell = h(w, capacity(t)).
   Insert insert_at(std::uint32_t t, std::uint32_t cell, graph::VertexId w) {
     LOGCC_DCHECK(cell < capacity(t));
     std::uint64_t& word = words_[base(t) + cell];
@@ -101,8 +108,7 @@ class TableSlab {
     return cell < capacity(t) && words_[base(t) + cell] == (tag_ | w);
   }
 
-  /// Iterates occupied cells of table `t` in cell order (the same order
-  /// VertexTable::for_each / items() produced).
+  /// Iterates occupied cells of table `t` in cell order.
   template <typename Fn>
   void for_each(std::uint32_t t, Fn&& fn) const {
     for_each_in({words_, words_size_}, t, fn);
@@ -124,8 +130,8 @@ class TableSlab {
         fn(static_cast<graph::VertexId>(w[c]));
   }
 
-  /// Raw cell image of table `t` — kInvalidVertex in empty cells, exactly
-  /// what VertexTable::cells() held (tests compare these across layouts).
+  /// Raw cell image of table `t` — kInvalidVertex in empty cells (tests
+  /// compare these across layouts).
   std::vector<graph::VertexId> cells(std::uint32_t t) const {
     std::vector<graph::VertexId> out(capacity(t), graph::kInvalidVertex);
     const std::uint64_t* w = words_ + base(t);
@@ -162,8 +168,8 @@ class TableSlab {
   std::uint64_t slab_allocations_ = 0;
 };
 
-/// Lightweight const view of one slab table with VertexTable's read-side
-/// interface — what ExpandEngine::table() hands to VOTE / LINK / tests.
+/// Lightweight const view of one slab table — what ExpandEngine::table()
+/// hands to VOTE / LINK / tests.
 class TableView {
  public:
   TableView(const TableSlab* slab, std::uint32_t t) : slab_(slab), t_(t) {}

@@ -17,6 +17,8 @@
 namespace logcc::core {
 namespace {
 
+using logcc::testing::FlatTable;
+
 /// Expands a whole input graph with generous parameters (everything ongoing).
 struct Harness {
   explicit Harness(const graph::EdgeList& el, ExpandParams p, RunStats* stats)
@@ -24,14 +26,15 @@ struct Harness {
     drop_loops(arcs);
     for (std::uint64_t v = 0; v < el.n; ++v)
       ongoing.push_back(static_cast<VertexId>(v));
-    engine = std::make_unique<ExpandEngine>(el.n, ongoing, arcs, params,
-                                            stats ? *stats : local_stats);
+    engine = std::make_unique<ExpandEngine>(
+        el.n, ongoing, arcs, params, stats ? *stats : local_stats, scratch);
     engine->run();
   }
   std::vector<Arc> arcs;
   std::vector<VertexId> ongoing;
   ExpandParams params;
   RunStats local_stats;
+  ExpandScratch scratch;  // outlives the engine, which restores its slot map
   std::unique_ptr<ExpandEngine> engine;
 };
 
@@ -173,9 +176,9 @@ TEST(ExpandDeath, HistoryRequiresFlag) {
 TEST(Expand, SeedTablesAreOwnerThenNeighboursInArcOrder) {
   // With no doubling round, every owner's table is its seed: the owner
   // first, then each ongoing neighbour in directed-arc order (arc i's u→v
-  // before its v→u). A VertexTable filled in that order must match it cell
-  // for cell, with the same collision flags and count, at a capacity that
-  // collides and at a roomy one.
+  // before its v→u). A flat first-writer-wins table filled in that order
+  // must match it cell for cell, with the same collision flags and count,
+  // at a capacity that collides and at a roomy one.
   const std::vector<std::pair<std::string, graph::EdgeList>> graphs = {
       {"gnm", graph::make_gnm(3000, 9000, 11)},
       {"rmat", graph::make_rmat(12, 12000, 5)},
@@ -191,17 +194,15 @@ TEST(Expand, SeedTablesAreOwnerThenNeighboursInArcOrder) {
       Harness h(el, p, &stats);
       const ExpandEngine& e = *h.engine;
       ASSERT_EQ(e.rounds(), 0u);
-      std::vector<VertexTable> ref(e.num_slots());
+      std::vector<FlatTable> ref(e.num_slots(), FlatTable(cap));
       std::uint64_t collisions = 0;
       auto put = [&](std::uint32_t s, VertexId w) {
         if (ref[s].insert_at(static_cast<std::uint32_t>(e.hv()(w, cap)), w) ==
-            VertexTable::Insert::kCollision)
+            FlatTable::Insert::kCollision)
           ++collisions;
       };
-      for (std::uint32_t s = 0; s < e.num_slots(); ++s) {
-        ref[s].reset(cap);
+      for (std::uint32_t s = 0; s < e.num_slots(); ++s)
         if (e.owns_block(s)) put(s, e.vertex_of(s));
-      }
       for (const Arc& a : h.arcs) {
         for (const auto& [x, y] : {std::pair{a.u, a.v}, std::pair{a.v, a.u}}) {
           const std::uint32_t sx = e.slot_of(x);
@@ -217,9 +218,9 @@ TEST(Expand, SeedTablesAreOwnerThenNeighboursInArcOrder) {
           continue;
         }
         ++owners;
-        EXPECT_EQ(e.table(s).cells(), ref[s].cells())
+        EXPECT_EQ(e.table(s).cells(), ref[s].cells)
             << name << " cap " << cap << " slot " << s;
-        EXPECT_EQ(e.table(s).collided(), ref[s].collided())
+        EXPECT_EQ(e.table(s).collided(), ref[s].collided)
             << name << " cap " << cap << " slot " << s;
       }
       EXPECT_EQ(stats.hash_collisions, collisions) << name << " cap " << cap;
@@ -235,9 +236,12 @@ TEST(Expand, SeedTablesAreOwnerThenNeighboursInArcOrder) {
 TEST(Expand, HoistedScratchReusableAcrossEngines) {
   // Phase loops reuse one ExpandScratch across engines; the slot map must
   // come back all-kNoSlot after each engine dies, so a second engine over a
-  // different ongoing set sees clean state.
+  // different ongoing set sees clean state. The kept history's packed
+  // per-round lists are reused too: each engine's last round must read
+  // back as its live tables, slot for slot.
   auto el = graph::make_gnm(256, 768, 3);
   ExpandParams p = generous(el.n);
+  p.keep_history = true;
   ExpandScratch scratch;
   RunStats stats;
   auto arcs = arcs_from_input(el);
@@ -245,15 +249,25 @@ TEST(Expand, HoistedScratchReusableAcrossEngines) {
   std::vector<VertexId> evens, odds;
   for (VertexId v = 0; v < el.n; v += 2) evens.push_back(v);
   for (VertexId v = 1; v < el.n; v += 2) odds.push_back(v);
+  auto expect_history_is_tables = [](const ExpandEngine& e) {
+    for (std::uint32_t s = 0; s < e.num_slots(); ++s) {
+      const auto last = e.history(e.rounds(), s);
+      EXPECT_EQ(std::vector<VertexId>(last.begin(), last.end()),
+                e.table(s).items())
+          << "slot " << s;
+    }
+  };
   {
-    ExpandEngine e1(el.n, evens, arcs, p, stats, &scratch);
+    ExpandEngine e1(el.n, evens, arcs, p, stats, scratch);
     e1.run();
     for (VertexId v : evens) EXPECT_EQ(e1.slot_of(v), v / 2);
+    expect_history_is_tables(e1);
   }
-  ExpandEngine e2(el.n, odds, arcs, p, stats, &scratch);
+  ExpandEngine e2(el.n, odds, arcs, p, stats, scratch);
   e2.run();
   for (VertexId v : odds) EXPECT_EQ(e2.slot_of(v), v / 2);
   for (VertexId v : evens) EXPECT_EQ(e2.slot_of(v), ExpandEngine::kNoSlot);
+  expect_history_is_tables(e2);
 }
 
 // ---- Determinism contract: tables, dormancy and stats are bit-identical

@@ -63,7 +63,8 @@ TEST(FailureInjection, ExpandWithCapacityTwoTables) {
   for (graph::VertexId v = 0; v < el.n; ++v) ongoing.push_back(v);
   auto arcs = core::arcs_from_input(el);
   core::RunStats stats;
-  core::ExpandEngine engine(el.n, ongoing, arcs, p, stats);
+  core::ExpandScratch scratch;
+  core::ExpandEngine engine(el.n, ongoing, arcs, p, stats, scratch);
   engine.run();
   for (std::uint32_t s = 0; s < engine.num_slots(); ++s)
     EXPECT_LE(engine.table(s).count(), 2u);

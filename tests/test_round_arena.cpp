@@ -12,6 +12,7 @@
 
 #include "core/building_blocks.hpp"
 #include "core/expand.hpp"
+#include "core/spanning_forest.hpp"
 #include "core/vanilla.hpp"
 #include "graph/generators.hpp"
 #include "test_support.hpp"
@@ -215,7 +216,7 @@ TEST_F(BackendInvariance, ExpandSlabFillsAreAllocationFreeWhenWarm) {
     util::scratch_arena_round_reset();
     const std::uint64_t before = g_new_calls.load();
     RunStats stats;
-    ExpandEngine engine(n, ongoing, arcs, p, stats, &scratch);
+    ExpandEngine engine(n, ongoing, arcs, p, stats, scratch);
     engine.run();
     return g_new_calls.load() - before;
   };
@@ -233,6 +234,32 @@ TEST_F(BackendInvariance, ExpandSlabFillsAreAllocationFreeWhenWarm) {
   EXPECT_EQ(a, b) << "warm EXPAND runs must have a stable allocation count";
   EXPECT_EQ(scratch.tables.slab_allocations(), slab_allocs)
       << "same-shape slab resets must be epoch bumps, not reallocations";
+}
+
+// Theorem 2 keeps every EXPAND round's tables for TREE-LINK and builds a
+// Q'(u) table per slot per radius. Both live in hoisted storage (packed
+// history lists in the ExpandScratch, one TableSlab per TREE-LINK), so a
+// warm run allocates a bounded number of times per phase, whatever the
+// slot count and the number of radii.
+TEST_F(BackendInvariance, SpanningForestAllocationsScaleWithPhases) {
+  util::set_parallel_backend(util::ParallelBackend::kPool);
+  util::set_parallelism(4);
+  const auto el = graph::make_gnm(1 << 14, 8 << 14, 3);
+  auto run_counting = [&](SfResult& out) -> std::uint64_t {
+    const std::uint64_t before = g_new_calls.load();
+    out = theorem2_sf(el);
+    return g_new_calls.load() - before;
+  };
+  // Warm the pool workers and their lane arenas outside the counted run.
+  SfResult warm;
+  run_counting(warm);
+  SfResult r;
+  const std::uint64_t allocs = run_counting(r);
+  ASSERT_GT(r.stats.phases, 0u) << "graph too easy to reach TREE-LINK";
+  const std::uint64_t phases = r.stats.phases + r.stats.prepare_phases;
+  EXPECT_LE(allocs, 32 * phases)
+      << allocs << " allocations over " << r.stats.phases << " + "
+      << r.stats.prepare_phases << " phases";
 }
 
 // Same property through the public driver (arena installed by

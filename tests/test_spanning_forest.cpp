@@ -125,7 +125,9 @@ TEST(Theorem2, ParallelEdgesPickOne) {
 
 // ---- Determinism contract: the parallel TREE-LINK (fetch-min link choice,
 // idempotent leader-neighbour marks) must pick the same forest edges for
-// every thread count (mirrors tests/test_scan.cpp).
+// every thread count (mirrors tests/test_scan.cpp), and count the same
+// RunStats: its hash_collisions tally follows the order each slot walks
+// Q(u) and H_j.
 
 using logcc::testing::ThreadInvariance;
 
@@ -138,6 +140,7 @@ TEST_F(ThreadInvariance, ForestEdgesIdenticalAcrossThreads) {
     util::set_parallelism(threads);
     auto many = theorem2_sf(el);
     EXPECT_EQ(one.forest_edges, many.forest_edges) << "threads=" << threads;
+    EXPECT_EQ(one.stats, many.stats) << "threads=" << threads;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/table_slab.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/graph_algos.hpp"
@@ -63,6 +64,27 @@ inline ::testing::AssertionResult matches_oracle(
            << "labels do not match the BFS oracle partition";
   return ::testing::AssertionSuccess();
 }
+
+/// The CRCW table in its plainest form — one flat cell array, first writer
+/// wins — as the reference the slab's layouts and fills are checked against.
+struct FlatTable {
+  using Insert = core::TableSlab::Insert;
+  explicit FlatTable(std::uint32_t capacity)
+      : cells(capacity, graph::kInvalidVertex) {}
+  Insert insert_at(std::uint32_t cell, graph::VertexId w) {
+    if (cells[cell] == graph::kInvalidVertex) {
+      cells[cell] = w;
+      ++count;
+      return Insert::kNew;
+    }
+    if (cells[cell] == w) return Insert::kPresent;
+    collided = true;
+    return Insert::kCollision;
+  }
+  std::vector<graph::VertexId> cells;  // kInvalidVertex in empty cells
+  std::uint32_t count = 0;
+  bool collided = false;
+};
 
 /// A small-but-varied collection of graphs exercising every structural
 /// regime (empty, single edge, loops, high diameter, dense, skewed,

@@ -19,12 +19,14 @@ struct VoteHarness {
     drop_loops(arcs);
     for (std::uint64_t v = 0; v < el.n; ++v)
       ongoing.push_back(static_cast<VertexId>(v));
-    engine = std::make_unique<ExpandEngine>(el.n, ongoing, arcs, p, stats);
+    engine =
+        std::make_unique<ExpandEngine>(el.n, ongoing, arcs, p, stats, scratch);
     engine->run();
   }
   std::vector<Arc> arcs;
   std::vector<VertexId> ongoing;
   RunStats stats;
+  ExpandScratch scratch;  // outlives the engine, which restores its slot map
   std::unique_ptr<ExpandEngine> engine;
 };
 
@@ -167,7 +169,8 @@ PhaseByVertex run_phase(std::uint64_t n, const std::vector<Arc>& arcs,
   vp.dormant_leader_prob = 0.3;
   vp.seed = 17;
   RunStats stats;
-  ExpandEngine engine(n, slot_order, arcs, p, stats);
+  ExpandScratch scratch;
+  ExpandEngine engine(n, slot_order, arcs, p, stats, scratch);
   engine.run();
   std::vector<std::uint8_t> leader;
   vote(engine, vp, stats, leader);
@@ -177,8 +180,10 @@ PhaseByVertex run_phase(std::uint64_t n, const std::vector<Arc>& arcs,
     const std::uint32_t s = engine.slot_of(v);
     out.cells.push_back(engine.table(s).cells());
     out.history.emplace_back();
-    for (std::uint32_t j = 0; j <= engine.rounds(); ++j)
-      out.history.back().push_back(engine.history(j, s));
+    for (std::uint32_t j = 0; j <= engine.rounds(); ++j) {
+      const auto items = engine.history(j, s);
+      out.history.back().emplace_back(items.begin(), items.end());
+    }
     out.owns_block.push_back(engine.owns_block(s) ? 1 : 0);
     out.dormant_round.push_back(engine.dormant_round(s));
     out.leader.push_back(leader[s]);
