@@ -4,8 +4,10 @@
 //                    drop_loops and dedup_arcs, the arc-list upkeep after it);
 //   * direct LINK / parent LINK — applied inside the algorithm drivers;
 //   * SHORTCUT     — core::shortcut_step (labels.hpp), the one synchronous
-//                    step that ParentForest, the serving engine, the sketch
-//                    tier's StreamStats and the Liu–Tarjan lab all run;
+//                    step: ParentForest runs it (and through its flatten
+//                    the serving engine, the sketch tier's StreamStats and
+//                    the MPC simulation), and so do SV, AS and the
+//                    Liu–Tarjan lab on their own arrays;
 //   * expansion    — the two table slab kernels (table_slab.hpp):
 //                    seed_tables fills H(v) from v and its neighbours, and
 //                    double_table runs one H(v) ∪= H(w), w ∈ H(v) step;

@@ -46,6 +46,28 @@ V BasicParentForest<V>::find_root(V v) const {
 }
 
 template <typename V>
+bool BasicParentForest<V>::unite(V u, V v) {
+  // Path halving: each hop points x at its grandparent, which keeps a long
+  // stream's trees shallow without a rank array. Pointers only move to
+  // ancestors, so the roots, and hence the minima, stay where they are.
+  const auto root = [&](V x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];
+      x = parent_[x];
+    }
+    return x;
+  };
+  const V ru = root(u);
+  const V rv = root(v);
+  if (ru == rv) return false;
+  if (ru < rv)
+    parent_[rv] = ru;
+  else
+    parent_[ru] = rv;
+  return true;
+}
+
+template <typename V>
 bool BasicParentForest<V>::all_flat() const {
   for (std::uint64_t v = 0; v < parent_.size(); ++v)
     if (parent_[parent_[v]] != parent_[v]) return false;

@@ -1,9 +1,13 @@
 // The labeled digraph (§2.1): every vertex carries a parent pointer v.p; the
 // digraph's only cycles are self-loops, so it is a forest of rooted trees.
 // ParentForest owns the pointer array plus the operations and invariant
-// checks every algorithm in the paper shares, and shortcut_step is the one
-// synchronous SHORTCUT step (§2.2) that the forest, the serving engine,
-// StreamStats::finish() and the Liu–Tarjan lab all run on their own arrays.
+// checks every algorithm in the paper shares: the PRAM algorithms, the
+// serving engine's batch merge, StreamStats and the MPC simulation all keep
+// their parent pointers in one. The incremental consumers link through
+// unite(), a sequential union by minimum id, and flatten() to canonical
+// min-id labels. shortcut_step is the one synchronous SHORTCUT step (§2.2):
+// the forest runs it on its own array, and SV, AS and the Liu–Tarjan lab on
+// theirs.
 //
 // Index-width contract: the forest is a template over the vertex width V,
 // like the graph.hpp types. ParentForest is the narrow (uint32)
@@ -59,6 +63,14 @@ class BasicParentForest {
 
   /// Root of v's tree by pointer chasing (no mutation).
   V find_root(V v) const;
+
+  /// Sequential union by minimum id with path halving: links the larger of
+  /// u's and v's roots under the smaller and returns true iff it linked
+  /// (the roots differed). In a forest whose roots are their trees' minima
+  /// (a fresh or flat canonical one), every root stays its tree's minimum
+  /// whatever the call order, so flatten() afterwards gives the canonical
+  /// min-id labels of the union of the edges seen.
+  bool unite(V u, V v);
 
   bool all_flat() const;
 

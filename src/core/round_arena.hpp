@@ -41,12 +41,6 @@ class RoundArena {
 
   util::MonotonicArena& arena() { return arena_; }
 
-  /// Rewinds the arena for the next round. Precondition: no live
-  /// ScratchBuffer (true between kernel calls). Equivalent to
-  /// util::scratch_arena_round_reset() when this arena is the active one.
-  void begin_round() { arena_.reset(); }
-
-  std::uint64_t rounds_begun() const { return arena_.resets(); }
   std::size_t high_water_bytes() const { return arena_.high_water(); }
   std::uint64_t heap_block_allocations() const {
     return arena_.block_allocations();

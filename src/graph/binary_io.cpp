@@ -511,6 +511,9 @@ bool parse_generator_spec(const std::string& spec, std::string& family,
   const auto c1 = spec.find(':');
   if (c1 == std::string::npos) return false;
   family = spec.substr(0, c1);
+  const std::vector<std::string> names = family_names();
+  if (std::find(names.begin(), names.end(), family) == names.end())
+    return false;
   std::string rest = spec.substr(c1 + 1);
   const auto c2 = rest.find(':');
   if (c2 != std::string::npos) {
@@ -542,8 +545,12 @@ bool load_dataset_zero_copy(const std::string& spec, DatasetHandle& out,
     std::uint64_t n = 0;
     std::uint64_t seed = 1;
     if (!parse_generator_spec(spec.substr(4), family, n, seed)) {
+      std::string families;
+      for (const std::string& name : family_names())
+        families += (families.empty() ? "" : ", ") + name;
       set_error(error, "bad generator spec '" + spec +
-                           "' (want gen:family:n[:seed])");
+                           "' (want gen:family:n[:seed], family one of " +
+                           families + ")");
       return false;
     }
     out.el_ = make_family(family, n, seed);

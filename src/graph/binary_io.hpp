@@ -195,9 +195,11 @@ struct DatasetInfo {
 
 /// Parses a "family:n[:seed]" generator spec (what load_dataset_zero_copy
 /// accepts after "gen:" and what cc_tool/cc_bench take via --generate).
-/// Returns false on a missing ':' or when n parses to 0, so a typo'd
-/// number can never silently become a tiny dataset. `seed` keeps its
-/// incoming value (the caller's default) when the spec has no seed field.
+/// Returns false on a missing ':', a family not in family_names(), or when
+/// n parses to 0, so a typo'd name is a usage error rather than an abort
+/// and a typo'd number can never silently become a tiny dataset. `seed`
+/// keeps its incoming value (the caller's default) when the spec has no
+/// seed field.
 bool parse_generator_spec(const std::string& spec, std::string& family,
                           std::uint64_t& n, std::uint64_t& seed);
 

@@ -4,11 +4,13 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "core/labels.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
 
 namespace logcc::mpc {
 
+using core::ParentForest;
 using graph::Edge;
 using graph::VertexId;
 
@@ -32,55 +34,27 @@ void alter_arcs(MpcEngine& engine, std::vector<Edge>& arcs,
   arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
 }
 
-/// Flattens the (height ≤ 2) parent map produced by one contraction.
-void flatten(MpcEngine& engine, std::vector<VertexId>& parent) {
-  engine.map_round(parent.size());
-  bool more = true;
-  while (more) {
-    more = false;
-    for (std::size_t v = 0; v < parent.size(); ++v) {
-      VertexId pp = parent[parent[v]];
-      if (parent[v] != pp) {
-        parent[v] = pp;
-        more = true;
-      }
-    }
-  }
-}
-
-std::vector<VertexId> final_labels(const std::vector<VertexId>& parent) {
-  std::vector<VertexId> out(parent.size());
-  for (std::size_t v = 0; v < parent.size(); ++v) {
-    VertexId r = static_cast<VertexId>(v);
-    std::uint64_t guard = 0;
-    while (parent[r] != r) {
-      r = parent[r];
-      LOGCC_CHECK_MSG(++guard <= parent.size(), "cycle in MPC parent map");
-    }
-    out[v] = r;
-  }
-  return out;
-}
-
 /// Deterministic Boruvka fallback, each round a constant number of
 /// primitives; guarantees termination regardless of coin flips.
 void boruvka_finish(MpcEngine& engine, std::vector<Edge>& arcs,
-                    std::vector<VertexId>& parent, std::uint64_t* phases) {
+                    ParentForest& forest, std::uint64_t* phases) {
+  const std::uint64_t n = forest.size();
   while (!arcs.empty()) {
     ++*phases;
     engine.map_round(arcs.size());
-    std::vector<VertexId> best(parent.size());
-    for (std::size_t v = 0; v < parent.size(); ++v)
-      best[v] = static_cast<VertexId>(v);
+    std::vector<VertexId> best(n);
+    for (std::size_t v = 0; v < n; ++v) best[v] = static_cast<VertexId>(v);
     for (const Edge& e : arcs) {
       best[e.u] = std::min(best[e.u], e.v);
       best[e.v] = std::min(best[e.v], e.u);
     }
-    for (std::size_t v = 0; v < parent.size(); ++v)
-      if (best[v] < parent[v] && parent[v] == static_cast<VertexId>(v))
-        parent[v] = best[v];
-    flatten(engine, parent);
-    alter_arcs(engine, arcs, parent);
+    for (std::size_t v = 0; v < n; ++v) {
+      const auto x = static_cast<VertexId>(v);
+      if (forest.is_root(x) && best[v] < x) forest.set_parent(x, best[v]);
+    }
+    engine.map_round(n);  // flattening a contraction is one map round
+    forest.flatten();
+    alter_arcs(engine, arcs, forest.raw());
     LOGCC_CHECK_MSG(*phases < 1u << 20, "MPC Boruvka diverged");
   }
 }
@@ -95,10 +69,9 @@ MpcCcResult mpc_vanilla_cc(const graph::EdgeList& el, std::uint64_t seed,
   util::Xoshiro256 rng(seed);
 
   const std::uint64_t n = el.n;
-  std::vector<VertexId> parent(n);
-  for (std::uint64_t v = 0; v < n; ++v) parent[v] = static_cast<VertexId>(v);
+  ParentForest forest(n);
   std::vector<Edge> arcs = el.edges;
-  alter_arcs(engine, arcs, parent);  // canonicalise
+  alter_arcs(engine, arcs, forest.raw());  // canonicalise
 
   MpcCcResult out;
   while (!arcs.empty()) {
@@ -108,17 +81,20 @@ MpcCcResult mpc_vanilla_cc(const graph::EdgeList& el, std::uint64_t seed,
     std::vector<std::uint8_t> leader(n);
     for (std::uint64_t v = 0; v < n; ++v) leader[v] = rng.bernoulli(0.5);
     for (const Edge& e : arcs) {
-      // Endpoints are roots (arcs are altered every phase).
-      if (!leader[e.u] && leader[e.v]) parent[e.u] = e.v;
-      if (!leader[e.v] && leader[e.u]) parent[e.v] = e.u;
+      // Endpoints are roots (arcs are altered every phase), and leaders
+      // stay roots, so the forest stays acyclic and flatten() reaches
+      // every vertex's root.
+      if (!leader[e.u] && leader[e.v]) forest.set_parent(e.u, e.v);
+      if (!leader[e.v] && leader[e.u]) forest.set_parent(e.v, e.u);
     }
-    flatten(engine, parent);
-    alter_arcs(engine, arcs, parent);
+    engine.map_round(n);
+    forest.flatten();
+    alter_arcs(engine, arcs, forest.raw());
     if (out.phases > 64 + 8 * 64) {  // paranoia; vanishing probability
-      boruvka_finish(engine, arcs, parent, &out.phases);
+      boruvka_finish(engine, arcs, forest, &out.phases);
     }
   }
-  out.labels = final_labels(parent);
+  out.labels = std::move(forest.raw());  // flat: every phase ends flattened
   out.ledger = engine.ledger();
   return out;
 }
@@ -132,10 +108,9 @@ MpcCcResult mpc_log_diameter_cc(const graph::EdgeList& el, std::uint64_t seed,
 
   const std::uint64_t n = el.n;
   const double log_n = std::log2(static_cast<double>(std::max<std::uint64_t>(n, 4)));
-  std::vector<VertexId> parent(n);
-  for (std::uint64_t v = 0; v < n; ++v) parent[v] = static_cast<VertexId>(v);
+  ParentForest forest(n);
   std::vector<Edge> arcs = el.edges;
-  alter_arcs(engine, arcs, parent);
+  alter_arcs(engine, arcs, forest.raw());
   const std::uint64_t m0 = std::max<std::uint64_t>(arcs.size(), 1);
 
   MpcCcResult out;
@@ -202,6 +177,9 @@ MpcCcResult mpc_log_diameter_cc(const graph::EdgeList& el, std::uint64_t seed,
 
     // VOTING + CONTRACTION: leaders with probability Θ(log n / b); full
     // vertices contract deterministically to their component minimum.
+    // Non-full leaders stay roots, full vertices link to a smaller id and
+    // the rest to a non-full leader, so the forest stays acyclic and
+    // flatten() reaches every vertex's root.
     engine.map_round(active.size());
     const double p_leader = std::min(1.0, 2.0 * log_n / static_cast<double>(b));
     std::vector<std::uint8_t> leader(n, 0);
@@ -211,7 +189,7 @@ MpcCcResult mpc_log_diameter_cc(const graph::EdgeList& el, std::uint64_t seed,
       if (full[u]) {
         VertexId mn = u;
         for (VertexId w : nu) mn = std::min(mn, w);
-        parent[u] = mn;
+        forest.set_parent(u, mn);
         continue;
       }
       if (leader[u]) continue;
@@ -221,15 +199,16 @@ MpcCcResult mpc_log_diameter_cc(const graph::EdgeList& el, std::uint64_t seed,
       VertexId target = graph::kInvalidVertex;
       for (VertexId w : nu)
         if (leader[w] && !full[w]) target = std::min(target, w);
-      if (target != graph::kInvalidVertex) parent[u] = target;
+      if (target != graph::kInvalidVertex) forest.set_parent(u, target);
     }
-    flatten(engine, parent);
-    alter_arcs(engine, arcs, parent);
+    engine.map_round(n);
+    forest.flatten();
+    alter_arcs(engine, arcs, forest.raw());
   }
 
-  if (!arcs.empty()) boruvka_finish(engine, arcs, parent, &out.phases);
+  if (!arcs.empty()) boruvka_finish(engine, arcs, forest, &out.phases);
 
-  out.labels = final_labels(parent);
+  out.labels = std::move(forest.raw());  // flat: every phase ends flattened
   out.ledger = engine.ledger();
   return out;
 }

@@ -4,11 +4,8 @@
 #include <cstring>
 #include <string>
 
-#include "core/labels.hpp"
 #include "util/check.hpp"
 #include "util/failpoint.hpp"
-#include "util/parallel.hpp"
-#include "util/scan.hpp"
 #include "util/timer.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -42,11 +39,9 @@ std::string ckpt_path(const std::string& dir) { return dir + "/index.ckpt"; }
 }  // namespace
 
 ConnectivityEngine::ConnectivityEngine(std::uint64_t n, EngineOptions options)
-    : options_(options), log_(n), parent_(n), scratch_(n) {
+    : options_(options), log_(n), forest_(n) {
   LOGCC_CHECK_MSG(options_.durability.dir.empty(),
                   "durable engines are built via ConnectivityEngine::recover");
-  util::parallel_for(
-      0, n, [&](std::size_t v) { parent_[v] = static_cast<VertexId>(v); });
   publish();  // epoch 1: n singleton components
 }
 
@@ -83,7 +78,7 @@ Status ConnectivityEngine::recover(const std::string& dir, std::uint64_t n,
           ", engine wants n=" + std::to_string(n));
     info->used_checkpoint = true;
     info->checkpoint_batches = ckpt.batches;
-    engine->parent_ = std::move(ckpt.labels);
+    engine->forest_.raw() = std::move(ckpt.labels);
     replay_from = ckpt.wal_offset;
   } else if (cs.code() != util::StatusCode::kNotFound &&
              cs.code() != util::StatusCode::kCorruption) {
@@ -142,58 +137,26 @@ Status ConnectivityEngine::recover(const std::string& dir, std::uint64_t n,
 }
 
 std::uint64_t ConnectivityEngine::merge_batch(std::span<const Edge> batch) {
-  std::vector<VertexId>& p = parent_;
-  std::vector<VertexId>& next = scratch_;
-  const std::uint64_t n = p.size();
-  std::uint64_t rounds = 0;
-  while (true) {
-    // Fixpoint probe first: a batch whose edges are all internal (the
-    // heavy-traffic steady state) costs O(batch), not O(n).
-    const bool crossing = util::parallel_reduce(
-        std::size_t{0}, batch.size(), false,
-        [&](std::size_t i) { return p[batch[i].u] != p[batch[i].v]; },
-        [](bool a, bool b) { return a || b; });
-    if (!crossing) break;
-    ++rounds;
-    // Hook: the larger of the two current roots adopts the smaller.
-    // Offers read `p` (stable this round) and min-combine into `next`
-    // via atomic_min — order-invariant, hence bit-identical labels and
-    // round counts for every thread count and backend. Only root entries
-    // receive offers, and every offered value is smaller than the target
-    // root's id, so pointers strictly decrease: no cycles, and the
-    // component minimum keeps parent_[m] == m — labels stay canonical.
-    util::parallel_for(0, n, [&](std::size_t v) { next[v] = p[v]; });
-    util::parallel_for(0, batch.size(), [&](std::size_t i) {
-      const VertexId lu = p[batch[i].u];
-      const VertexId lv = p[batch[i].v];
-      if (lu == lv) return;
-      const VertexId hi = lu > lv ? lu : lv;
-      const VertexId lo = lu > lv ? lv : lu;
-      util::atomic_min(next[hi], lo);
-    });
-    p.swap(next);
-    // Shortcut to flat so the next round's p[v] reads are root labels
-    // again (converges in O(log chain) steps; chains only merge roots).
-    while (core::shortcut_step(p, next)) {
-    }
-    LOGCC_CHECK_MSG(rounds <= 1u << 20, "batch merge failed to converge");
-  }
-  return rounds;
+  // Only roots link, each under the smaller root, so the component minimum
+  // stays a root and one flatten restores the canonical labels. A batch of
+  // internal edges (the heavy-traffic steady state) costs O(batch).
+  std::uint64_t links = 0;
+  for (const Edge& e : batch) links += forest_.unite(e.u, e.v);
+  if (links != 0) forest_.flatten();
+  return links;
 }
 
 void ConnectivityEngine::publish() {
-  std::vector<VertexId> labels = parent_;  // flat == canonical min-id
-  auto next = std::make_shared<const Published>(Published{
+  std::vector<VertexId> labels = forest_.raw();  // flat == canonical min-id
+  published_.store(std::make_shared<const Published>(Published{
       published_.epoch() + 1,  // one writer: no store can race this one
-      core::ComponentIndex::from_canonical_labels(std::move(labels))});
-  last_count_ = next->index.num_components();
-  published_.store(std::move(next));
+      core::ComponentIndex::from_canonical_labels(std::move(labels))}));
 }
 
 std::uint64_t ConnectivityEngine::resident_bytes() const {
   const std::uint64_t n = num_vertices();
   std::uint64_t bytes = log_.memory_bytes();
-  bytes += (parent_.capacity() + scratch_.capacity()) * sizeof(VertexId);
+  bytes += 2 * n * sizeof(VertexId);  // the forest and its SHORTCUT buffer
   // Published snapshot (labels + sizes + root table) — estimated rather
   // than walked, since readers may be holding older epochs alive too.
   bytes += 12 * n;
@@ -241,12 +204,11 @@ BatchResult ConnectivityEngine::apply_batch(std::span<const Edge> batch) {
   }
 
   log_.append(batch);
-  const std::uint64_t before = last_count_;
-  out.rounds = merge_batch(batch);
+  out.merges = merge_batch(batch);
+  out.rounds = out.merges != 0 ? 1 : 0;
   // Crash site: merged in memory, not yet published/checkpointed.
   (void)LOGCC_FAILPOINT("engine_before_publish");
   publish();
-  out.merges = before - last_count_;
 
   if (options_.verify_every != 0 && out.batch % options_.verify_every == 0) {
     out.verify_ran = true;
@@ -274,8 +236,8 @@ util::Status ConnectivityEngine::write_checkpoint_now() {
   state.epoch = published_.epoch();
   state.batches = log_.num_batches();
   state.wal_offset = wal_.offset();
-  state.num_components = last_count_;
-  state.labels = parent_;
+  state.num_components = published_.load()->index.num_components();
+  state.labels = forest_.raw();
   return write_checkpoint(ckpt_path(options_.durability.dir), state);
 }
 
@@ -300,7 +262,7 @@ bool ConnectivityEngine::verify_and_rebuild() {
   // and the caller learns the incremental state was bad. Re-seed the
   // incremental forest from the rebuild so later batches continue from
   // the verified labels.
-  if (!ok) parent_ = r.index.labels();
+  if (!ok) forest_.raw() = r.index.labels();
   publish();
   return ok;
 }

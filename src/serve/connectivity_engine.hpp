@@ -2,14 +2,16 @@
 // "millions of users, heavy traffic" scenario from ROADMAP item 1.
 //
 // One writer thread feeds batches of edge insertions into a live graph
-// (graph::EdgeLog); each batch is merged into the maintained components by
-// a multi-threaded min-combining hook + shortcut fixpoint over just the
-// batch edges (a Liu–Tarjan-style hook specialized to an always-flat
-// forest, flattened by core::shortcut_step, the SHORTCUT step every layer
-// shares), running on the repo's scan primitives and thread-pool runtime —
-// deterministic per the bit-identity contract: for a given batch sequence
-// the labels, rounds, and published snapshots are identical for every
-// thread count and backend.
+// (graph::EdgeLog); the maintained components live in one
+// core::ParentForest, flat between batches. Each batch is merged by a
+// sequential union by minimum id over just the batch edges
+// (ParentForest::unite) and, iff that linked anything, one flatten
+// (ParentForest::flatten, the synchronous SHORTCUT step every layer
+// shares, on the thread-pool runtime). Every root stays its component's
+// minimum, so the flat forest is the canonical min-id labeling whatever
+// the edge order — deterministic per the bit-identity contract: for a given
+// batch sequence the labels, merges, rounds and published snapshots are
+// identical for every thread count and backend.
 //
 // Queries never see the merge: after every batch the engine builds an
 // immutable core::ComponentIndex snapshot, pairs it with its epoch number,
@@ -53,6 +55,7 @@
 
 #include "core/component_index.hpp"
 #include "core/connectivity.hpp"
+#include "core/labels.hpp"
 #include "graph/edge_log.hpp"
 #include "graph/graph.hpp"
 #include "serve/checkpoint.hpp"
@@ -92,8 +95,8 @@ struct EngineOptions {
 struct BatchResult {
   std::uint64_t batch = 0;   // 1-based index of this batch
   std::uint64_t edges = 0;   // edges in the batch (loops/duplicates included)
-  std::uint64_t merges = 0;  // components removed by this batch
-  std::uint64_t rounds = 0;  // hook+shortcut rounds to fixpoint
+  std::uint64_t merges = 0;  // components removed by this batch (links)
+  std::uint64_t rounds = 0;  // 1 iff the batch linked (one flatten), else 0
   double seconds = 0.0;      // merge + snapshot production (+ verify epoch)
   bool verify_ran = false;   // a rebuild/verify epoch ran after this batch
   bool verified = true;      // false iff it ran and disagreed
@@ -208,7 +211,8 @@ class ConnectivityEngine {
   std::uint64_t wal_offset() const { return durable_ ? wal_.offset() : 0; }
 
  private:
-  /// Hook+shortcut the batch into the flat forest; returns rounds.
+  /// Unites the batch into the flat forest and flattens it again iff
+  /// anything linked; returns the links (components removed).
   std::uint64_t merge_batch(std::span<const graph::Edge> batch);
   /// Builds and swaps in the next epoch's snapshot from the current flat
   /// forest.
@@ -221,12 +225,9 @@ class ConnectivityEngine {
 
   EngineOptions options_;
   graph::EdgeLog log_;
-  // The incremental state: always flat between batches, parent_[v] is the
-  // canonical (min-id) label of v's component. scratch_ is the shortcut
-  // double buffer.
-  std::vector<graph::VertexId> parent_;
-  std::vector<graph::VertexId> scratch_;
-  std::uint64_t last_count_ = 0;  // published count (writer-side bookkeeping)
+  // The incremental state: always flat between batches, so parent(v) is
+  // the canonical (min-id) label of v's component.
+  core::ParentForest forest_;
   /// One published epoch: the snapshot and its number, swapped in as one
   /// immutable object so a query reports the epoch that answered it.
   struct Published {

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "core/labels.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 #include "util/scan.hpp"
 
 namespace logcc::sketch {
@@ -13,7 +11,7 @@ using graph::VertexId;
 
 StreamStats::StreamStats(std::uint64_t n, StreamStatsOptions options)
     : options_(options),
-      parent_(n),
+      forest_(n),
       // Independent streams off one seed, counter-based: stream 1 = edge
       // HLL, 2 = vertex HLL, 3 = degree CMS; finish() uses 4 (component
       // HLL) and 5 (size CMS).
@@ -22,19 +20,6 @@ StreamStats::StreamStats(std::uint64_t n, StreamStatsOptions options)
       cms_degree_(options.cms_depth, options.cms_width,
                   util::mix64(options.seed, 3), CmsUpdate::kConservative) {
   candidates_.reserve(options_.heavy_hitters);
-  util::parallel_for(
-      0, n, [&](std::size_t v) { parent_[v] = static_cast<VertexId>(v); });
-}
-
-VertexId StreamStats::find(VertexId v) {
-  // Path halving: every hop rewires v one level up, so repeated streams
-  // keep the forest shallow without a rank array. Roots are always the
-  // component minimum (see add_edge), so halving only ever lowers labels.
-  while (parent_[v] != v) {
-    parent_[v] = parent_[parent_[v]];
-    v = parent_[v];
-  }
-  return v;
 }
 
 void StreamStats::update_heavy_candidates(VertexId v, std::uint64_t estimate) {
@@ -56,7 +41,7 @@ void StreamStats::update_heavy_candidates(VertexId v, std::uint64_t estimate) {
 
 void StreamStats::add_edge(VertexId u, VertexId v) {
   LOGCC_CHECK_MSG(!finished_, "add_edge after finish()");
-  LOGCC_CHECK_MSG(u < parent_.size() && v < parent_.size(),
+  LOGCC_CHECK_MSG(u < forest_.size() && v < forest_.size(),
                   "add_edge: endpoint out of range");
   ++edges_;
   const VertexId lo = u < v ? u : v;
@@ -72,30 +57,20 @@ void StreamStats::add_edge(VertexId u, VertexId v) {
   hll_vertices_.add(v);
   cms_degree_.add(v);
   update_heavy_candidates(v, cms_degree_.estimate(v));
-  // Union by min id: the larger root adopts the smaller, so every root is
-  // its component's minimum and the flattened array is canonical.
-  const VertexId ru = find(u);
-  const VertexId rv = find(v);
-  if (ru == rv) return;
-  if (ru < rv)
-    parent_[rv] = ru;
-  else
-    parent_[ru] = rv;
+  // Union by min id: every root stays its component's minimum, so the
+  // flattened array is canonical.
+  forest_.unite(u, v);
 }
 
 StreamSummary StreamStats::finish() {
   LOGCC_CHECK_MSG(!finished_, "finish() called twice");
   finished_ = true;
-  const std::uint64_t n = parent_.size();
+  const std::uint64_t n = forest_.size();
 
-  // Flatten to labels via synchronous SHORTCUT steps (core::shortcut_step,
-  // the step every layer shares): deterministic for every thread count,
-  // O(log depth) steps.
-  {
-    std::vector<VertexId> next;
-    while (core::shortcut_step(parent_, next)) {
-    }
-  }
+  // Flatten to labels via synchronous SHORTCUT steps: deterministic for
+  // every thread count, O(log depth) steps.
+  forest_.flatten();
+  const std::vector<VertexId>& parent = forest_.raw();
 
   // The label-derived sketches: distinct labels ~= component count; label
   // multiplicity ~= component size. Standard-mode parallel fills, so these
@@ -105,7 +80,7 @@ StreamSummary StreamStats::finish() {
   cms_sizes_ = CountMinSketch(options_.cms_depth, options_.cms_width,
                               util::mix64(options_.seed, kSizeCmsStream),
                               CmsUpdate::kStandard);
-  const std::span<const VertexId> labels(parent_);
+  const std::span<const VertexId> labels(parent);
   hll_components_.add_parallel(labels);
   cms_sizes_.add_parallel(labels);
 
@@ -120,7 +95,7 @@ StreamSummary StreamStats::finish() {
   out.exact_components = util::parallel_reduce(
       std::size_t{0}, static_cast<std::size_t>(n), std::uint64_t{0},
       [&](std::size_t v) {
-        return static_cast<std::uint64_t>(parent_[v] == v);
+        return static_cast<std::uint64_t>(parent[v] == v);
       },
       [](std::uint64_t a, std::uint64_t b) { return a + b; });
   out.size_epsilon = cms_sizes_.epsilon();
@@ -134,7 +109,7 @@ StreamSummary StreamStats::finish() {
   // heaviest member, then count exact sizes for just those few roots in
   // one pass over the labels.
   for (const auto& [v, est] : candidates_) {
-    const VertexId root = parent_[v];
+    const VertexId root = parent[v];
     auto it = std::find_if(out.heavy.begin(), out.heavy.end(),
                            [&](const HeavyComponent& h) {
                              return h.root == root;
@@ -154,7 +129,7 @@ StreamSummary StreamStats::finish() {
   }
   for (std::uint64_t v = 0; v < n; ++v) {
     for (HeavyComponent& h : out.heavy)
-      if (parent_[v] == h.root) ++h.exact_size;
+      if (parent[v] == h.root) ++h.exact_size;
   }
   std::sort(out.heavy.begin(), out.heavy.end(),
             [](const HeavyComponent& a, const HeavyComponent& b) {
@@ -167,7 +142,7 @@ StreamSummary StreamStats::finish() {
 
 const std::vector<VertexId>& StreamStats::labels() const {
   LOGCC_CHECK_MSG(finished_, "labels() before finish()");
-  return parent_;
+  return forest_.raw();
 }
 
 }  // namespace logcc::sketch

@@ -3,12 +3,12 @@
 // materializes (docs/ARCHITECTURE.md "Approximate tier").
 //
 // Memory model: O(n) vertex state + O(1) sketches, never O(m) edges. The
-// vertex state is a min-rooted union-find label array (the same flat
-// min-id forest invariant as serve::ConnectivityEngine), which makes the
-// connectivity answers exact; everything edge-mass shaped — distinct
-// edges under stream duplication, per-vertex degree mass, heavy hitters —
-// is sketched, because answering it exactly would need the O(m) state the
-// streaming mode exists to avoid:
+// vertex state is a core::ParentForest that every stream edge unites by
+// minimum id (ParentForest::unite, the union serve::ConnectivityEngine
+// merges its batches with), which makes the connectivity answers exact;
+// everything edge-mass shaped — distinct edges under stream duplication,
+// per-vertex degree mass, heavy hitters — is sketched, because answering
+// it exactly would need the O(m) state the streaming mode exists to avoid:
 //
 //   hll_edges    distinct (deduplicated) edges:  HyperLogLog over the
 //                canonical min<<32|max endpoint key.
@@ -23,15 +23,15 @@
 // Determinism: add_edge is sequential (a stream has an order; generator
 // enumeration is single-threaded by contract) and all hashing is seeded
 // mix64, so a (stream, options) pair fully determines every sketch bit.
-// finish() uses only order-invariant parallel steps (a flatten by
-// core::shortcut_step, atomic-max/add bulk sketch fills), so its results
-// are also bit-identical for every thread count and backend — pinned by
-// tests/test_sketch.cpp.
+// finish() uses only order-invariant parallel steps (ParentForest::flatten,
+// atomic-max/add bulk sketch fills), so its results are also bit-identical
+// for every thread count and backend — pinned by tests/test_sketch.cpp.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "core/labels.hpp"
 #include "graph/graph.hpp"
 #include "sketch/count_min.hpp"
 #include "sketch/hyperloglog.hpp"
@@ -109,16 +109,15 @@ class StreamStats {
   const HyperLogLog& component_hll() const { return hll_components_; }
   const CountMinSketch& size_cms() const { return cms_sizes_; }
 
-  std::uint64_t num_vertices() const { return parent_.size(); }
+  std::uint64_t num_vertices() const { return forest_.size(); }
   std::uint64_t num_edges() const { return edges_; }
   const StreamStatsOptions& options() const { return options_; }
 
  private:
-  graph::VertexId find(graph::VertexId v);
   void update_heavy_candidates(graph::VertexId v, std::uint64_t estimate);
 
   StreamStatsOptions options_;
-  std::vector<graph::VertexId> parent_;  // min-rooted union-find
+  core::ParentForest forest_;  // min-rooted; flat after finish()
   std::uint64_t edges_ = 0;
   std::uint64_t self_loops_ = 0;
   bool finished_ = false;

@@ -107,12 +107,6 @@ class MonotonicArena {
     cur_ = 0;
   }
 
-  /// Total bytes of retained blocks.
-  std::size_t bytes_reserved() const {
-    std::size_t total = 0;
-    for (const Block& b : blocks_) total += b.capacity;
-    return total;
-  }
   /// Largest concurrently-live byte count ever observed.
   std::size_t high_water() const { return high_water_; }
   /// Heap allocations the arena itself ever made (stable in steady state).

@@ -374,6 +374,12 @@ TEST(LoadDataset, ParseGeneratorSpec) {
   EXPECT_FALSE(parse_generator_spec("grid:5,300,000", family, n, seed));
   EXPECT_FALSE(parse_generator_spec("grid:100:0x7", family, n, seed));
   EXPECT_FALSE(parse_generator_spec("grid:-5", family, n, seed));
+  // A family outside family_names() is a parse error, not make_family's
+  // abort; every listed family parses.
+  EXPECT_FALSE(parse_generator_spec("bogus:10", family, n, seed));
+  EXPECT_FALSE(parse_generator_spec("gnm:10", family, n, seed));
+  for (const std::string& name : family_names())
+    EXPECT_TRUE(parse_generator_spec(name + ":10", family, n, seed)) << name;
 }
 
 TEST(LoadDataset, BadGeneratorSpecFails) {
@@ -381,6 +387,11 @@ TEST(LoadDataset, BadGeneratorSpecFails) {
   std::string error;
   EXPECT_FALSE(load_dataset_zero_copy("gen:path", h, &error));
   EXPECT_FALSE(load_dataset_zero_copy("gen:path:0", h, &error));
+  // An unknown family is a usage error whose message names the families.
+  EXPECT_FALSE(load_dataset_zero_copy("gen:bogus:10", h, &error));
+  EXPECT_NE(error.find("bogus"), std::string::npos) << error;
+  for (const std::string& name : family_names())
+    EXPECT_NE(error.find(name), std::string::npos) << name << ": " << error;
 }
 
 TEST(LoadDataset, DispatchesOnMagic) {

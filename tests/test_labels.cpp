@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
+
+#include "baselines/union_find.hpp"
+#include "graph/arcs_input.hpp"
+#include "graph/generators.hpp"
+#include "util/random.hpp"
 
 namespace logcc::core {
 namespace {
@@ -49,7 +55,8 @@ TEST(ParentForest, ShortcutIsSynchronous) {
 }
 
 // core::shortcut_step is the one SHORTCUT step of every layer (the forest,
-// the serving engine, StreamStats, the Liu–Tarjan lab).
+// and through it the serving engine, StreamStats and the MPC simulation;
+// SV, AS and the Liu–Tarjan lab).
 template <typename V>
 void expect_shortcut_step_contract() {
   // Chain 3 -> 2 -> 1 -> 0 takes two synchronous steps, not one: the first
@@ -90,6 +97,57 @@ TEST(ShortcutStep, SynchronousAndMatchesParentForest) {
 
 TEST(ShortcutStep, WideMatchesParentForest64) {
   expect_shortcut_step_contract<VertexId64>();
+}
+
+// ParentForest::unite is the one sequential union (the serving engine's
+// batch merge, StreamStats): it links roots only, the larger under the
+// smaller, and reports whether it linked.
+template <typename V>
+void expect_unite_contract() {
+  BasicParentForest<V> f(6);
+  EXPECT_FALSE(f.unite(2, 2));
+  EXPECT_TRUE(f.unite(5, 3));
+  EXPECT_EQ(f.parent(5), V{3});
+  EXPECT_TRUE(f.unite(4, 5));  // root 4 goes under root 3
+  EXPECT_EQ(f.parent(4), V{3});
+  EXPECT_FALSE(f.unite(5, 4));  // same tree
+  EXPECT_TRUE(f.unite(3, 1));
+  EXPECT_TRUE(f.acyclic());
+  EXPECT_EQ(f.find_root(5), V{1});
+  f.flatten();
+  EXPECT_EQ(f.raw(), (std::vector<V>{0, 1, 2, 1, 1, 1}));
+}
+
+TEST(ParentForest, UniteLinksLargerRootUnderSmaller) {
+  expect_unite_contract<VertexId>();
+}
+
+TEST(ParentForest, WideUniteLinksLargerRootUnderSmaller) {
+  expect_unite_contract<VertexId64>();
+}
+
+// Whatever the edge order, unite + flatten gives the canonical min-id
+// labels (union_find_cc's), and unite links exactly n - components times.
+TEST(ParentForest, UniteIsOrderInvariantAndMatchesUnionFind) {
+  for (const char* family : {"grid", "gnm2", "rmat"}) {
+    const graph::EdgeList el = graph::make_family(family, 3000, 7);
+    const std::vector<VertexId> oracle =
+        baselines::union_find_cc(graph::ArcsInput::from_edges(el)).labels;
+    std::uint64_t components = 0;
+    for (std::uint64_t v = 0; v < el.n; ++v) components += oracle[v] == v;
+    std::vector<graph::Edge> edges = el.edges;
+    util::Xoshiro256 rng(11);
+    for (int order = 0; order < 5; ++order) {
+      if (order == 1) std::reverse(edges.begin(), edges.end());
+      if (order > 1) std::shuffle(edges.begin(), edges.end(), rng);
+      ParentForest f(el.n);
+      std::uint64_t links = 0;
+      for (const graph::Edge& e : edges) links += f.unite(e.u, e.v);
+      f.flatten();
+      EXPECT_EQ(f.raw(), oracle) << family << " order " << order;
+      EXPECT_EQ(links, el.n - components) << family << " order " << order;
+    }
+  }
 }
 
 TEST(ParentForest, FindRoot) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "graph/generators.hpp"
 #include "graph/graph_algos.hpp"
 #include "mpc/engine.hpp"
@@ -10,6 +14,7 @@ namespace logcc::mpc {
 namespace {
 
 using logcc::testing::matches_oracle;
+using logcc::testing::ThreadInvariance;
 
 TEST(MpcEngine, ChargesRoundsPerPrimitive) {
   MpcConfig cfg;
@@ -106,6 +111,42 @@ TEST(MpcLogDiameter, RoundLedgerPopulated) {
   EXPECT_GT(r.ledger.rounds, 0u);
   EXPECT_GT(r.ledger.primitive_calls, 0u);
   EXPECT_GT(r.ledger.peak_words, 0u);
+}
+
+// Both simulations flatten their parent map through ParentForest's
+// parallel SHORTCUT steps; labels, phases, squaring steps and the whole
+// ledger must not depend on the lane count. The sparse gnm has 20,000
+// vertices, above the largest serial grain, so its flattens really split.
+TEST_F(ThreadInvariance, MpcResultsIdenticalAcrossThreads) {
+  const std::vector<graph::EdgeList> graphs{
+      graph::make_gnm(20000, 8000, 5), graph::make_path(1000),
+      graph::disjoint_union(
+          {graph::make_grid(20, 20), graph::make_rmat(10, 4096, 3)})};
+  for (auto* run : {&mpc_vanilla_cc, &mpc_log_diameter_cc}) {
+    for (std::size_t g = 0; g < graphs.size(); ++g) {
+      std::optional<MpcCcResult> reference;
+      for (int threads : {1, 2, 8}) {
+        util::set_parallelism(threads);
+        MpcCcResult r = (*run)(graphs[g], 7, MpcConfig{});
+        ASSERT_TRUE(matches_oracle(graphs[g], r.labels)) << "graph " << g;
+        if (!reference) {
+          reference = std::move(r);
+          continue;
+        }
+        const std::string where =
+            "graph " + std::to_string(g) + " threads " + std::to_string(threads);
+        EXPECT_EQ(r.labels, reference->labels) << where;
+        EXPECT_EQ(r.phases, reference->phases) << where;
+        EXPECT_EQ(r.expand_steps, reference->expand_steps) << where;
+        EXPECT_EQ(r.ledger.rounds, reference->ledger.rounds) << where;
+        EXPECT_EQ(r.ledger.primitive_calls, reference->ledger.primitive_calls)
+            << where;
+        EXPECT_EQ(r.ledger.peak_words, reference->ledger.peak_words) << where;
+        EXPECT_EQ(r.ledger.memory_exceeded, reference->ledger.memory_exceeded)
+            << where;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -107,7 +107,7 @@ TEST(Serve, ToleratesSelfLoopsDuplicatesAndEmptyBatches) {
   auto r1 = engine.apply_batch(weird);
   EXPECT_EQ(r1.merges, 1u);
   EXPECT_EQ(engine.component_count(), 3u);
-  // An empty batch is a no-op epoch (steady-state fixpoint probe: 0 rounds).
+  // An empty batch is a no-op epoch (nothing links: 0 rounds).
   auto r2 = engine.apply_batch({});
   EXPECT_EQ(r2.rounds, 0u);
   EXPECT_EQ(r2.merges, 0u);
@@ -117,6 +117,20 @@ TEST(Serve, ToleratesSelfLoopsDuplicatesAndEmptyBatches) {
   EXPECT_EQ(engine.component_count(), 3u);
   EXPECT_TRUE(*engine.snapshot() ==
               recompute(4, engine.edges().edges()));
+}
+
+// The batch merge is a sequential union: a batch that links anything costs
+// one round (its one flatten), however its links chain. {1,5} puts 5 under
+// 1, then {3,5} puts root 3 under root 1.
+TEST(Serve, LinkingBatchTakesOneRound) {
+  ConnectivityEngine engine(8);
+  const auto r = engine.apply_batch(std::vector<Edge>{{1, 5}, {3, 5}});
+  EXPECT_EQ(r.rounds, 1u);
+  EXPECT_EQ(r.merges, 2u);
+  EXPECT_EQ(engine.component_count(), 6u);
+  EXPECT_EQ(engine.component_of(3), 1u);
+  EXPECT_EQ(engine.component_of(5), 1u);
+  EXPECT_EQ(engine.component_size(1), 3u);
 }
 
 /// Applies one good batch, then one with an out-of-range endpoint: the bad
@@ -314,9 +328,9 @@ TEST_F(BackendInvariance, ServeSnapshotsBitIdenticalAcrossBackendsAndThreads) {
   }
 }
 
-// Round counts are part of the bit-identity contract too (the hook is
-// order-invariant min-combining, so convergence takes the same number of
-// rounds everywhere).
+// Round and merge counts are part of the bit-identity contract too (the
+// union is sequential and the flatten synchronous, so both are the same
+// everywhere).
 TEST_F(ThreadInvariance, ServeRoundCountsThreadInvariant) {
   const auto el = graph::make_rmat(9, 2048, 3);
   const auto batches = batches_of(el, 128);
@@ -324,12 +338,16 @@ TEST_F(ThreadInvariance, ServeRoundCountsThreadInvariant) {
   for (int threads : {1, 2, 4, 8}) {
     util::set_parallelism(threads);
     ConnectivityEngine engine(el.n);
-    std::vector<std::uint64_t> rounds;
-    for (auto batch : batches) rounds.push_back(engine.apply_batch(batch).rounds);
+    std::vector<std::uint64_t> counts;
+    for (auto batch : batches) {
+      const auto res = engine.apply_batch(batch);
+      counts.push_back(res.rounds);
+      counts.push_back(res.merges);
+    }
     if (reference.empty())
-      reference = rounds;
+      reference = counts;
     else
-      ASSERT_EQ(rounds, reference) << "threads=" << threads;
+      ASSERT_EQ(counts, reference) << "threads=" << threads;
   }
 }
 

@@ -356,6 +356,29 @@ TEST(StreamStats, HeavyHittersFindTheHub) {
               summary.heavy[i].endpoint_mass);
 }
 
+// The labels come from ParentForest::unite, a union by minimum id, so the
+// stream order reaches neither them nor anything finish() derives from
+// them.
+TEST(StreamStats, LabelsIgnoreStreamOrder) {
+  const auto el = graph::make_rmat(11, 3000, 4);
+  auto run = [&](bool reversed) {
+    sketch::StreamStats stats(el.n);
+    for (std::size_t i = 0; i < el.edges.size(); ++i) {
+      const auto& e = el.edges[reversed ? el.edges.size() - 1 - i : i];
+      stats.add_edge(e.u, e.v);
+    }
+    const auto summary = stats.finish();
+    return std::make_pair(stats, summary);
+  };
+  const auto [a, sa] = run(false);
+  const auto [b, sb] = run(true);
+  EXPECT_EQ(a.labels(), b.labels());
+  EXPECT_EQ(sa.exact_components, sb.exact_components);
+  EXPECT_EQ(a.component_hll(), b.component_hll());
+  EXPECT_EQ(a.size_cms(), b.size_cms());
+  EXPECT_TRUE(logcc::testing::matches_oracle(el, a.labels()));
+}
+
 TEST(StreamStats, DeterministicAcrossRuns) {
   const auto el = graph::make_gnm(512, 1024, 9);
   auto run = [&] {
